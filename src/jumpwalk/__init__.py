@@ -22,7 +22,7 @@ from .ensemble import (
     sigma_of_realization,
     static_quenched_average,
 )
-from .scaling import ScalingFit, exponent, fit_line, loglog_points, std_dev
+from .scaling import ScalingFit, exponent, fit_line, loglog_points, site_std_dev, std_dev
 from .walk import (
     SiteJumpMap,
     WalkState,

@@ -10,6 +10,16 @@ Subcommands:
                 negative-binomial/geometric configurations
   static-sweep  per-site (static) disorder sweep with norm bookkeeping
 
+Each subcommand is one row of ``COMMANDS``: the flags it accepts (and no
+others), their defaults, its jump laws (the ``--dist`` law or a fixed
+list), how one law is evaluated, whether it is fitted, its stdout line
+and the CSVs it writes.  ``main`` runs every row through one pipeline:
+resolve settings, evaluate and fit each law, print, write.
+
+A setting comes from its flag, else from the ``--config`` file (flat
+``key = value`` lines named like the subcommand's flags, e.g.
+``paper_poisson1 = true``), else from the row's default.
+
 Every run is a pure function of its flags, config file, and master seed:
 re-running writes byte-identical CSVs.  Exit codes: 0 success, 2 usage
 error, 3 numerical or domain error.
@@ -20,7 +30,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Mapping, NamedTuple
 
 from . import __version__
 from .distributions import (
@@ -37,7 +49,7 @@ from .ensemble import (
     sample_dynamic_realization,
     static_quenched_average,
 )
-from .scaling import classify_exponent, exponent, fit_line, loglog_points, std_dev
+from .scaling import ScalingFit, classify_exponent, exponent, fit_line, loglog_points, std_dev
 from .walk import hadamard, position_distribution, run_dynamic
 
 __all__ = ["main", "parse_dist_spec", "parse_grid"]
@@ -45,12 +57,6 @@ __all__ = ["main", "parse_dist_spec", "parse_grid"]
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-DEFAULT_SEED = 42
-DEFAULT_N = 4000
-DEFAULT_GRID = "4:24:+2"
-DEFAULT_ORDERED_GRID = "10:640:x2"
-DEFAULT_STATIC_GRID = "2:40:+2"
 
 # Integer-valued distribution parameters; everything else parses as float.
 _INT_PARAMS = {"n", "N", "K", "r", "j", "rmax"}
@@ -153,23 +159,19 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _meta_line(command: str, args, extra: str = "") -> str:
+def _meta_line(command: str, args) -> str:
     fields = [
         f"jumpwalk {__version__}",
         f"cmd={command}",
         f"seed={args.seed}",
         f"rng={RNG_IDENTITY}",
     ]
-    if getattr(args, "dist", None):
-        fields.append(f"dist={args.dist}")
-    if getattr(args, "grid", None):
-        fields.append(f"grid={args.grid}")
-    if getattr(args, "n", None):
-        fields.append(f"n={args.n}")
-    if getattr(args, "mode", None):
-        fields.append(f"mode={args.mode}")
-    if extra:
-        fields.append(extra)
+    fields += [f"{key}={getattr(args, key)}" for key in ("dist", "grid", "n", "mode")
+               if getattr(args, key, None)]
+    if "T" in args:
+        fields.append(f"T={args.T}")
+    if "input" in args:
+        fields.append(f"src={args.input}")
     return "# " + " ".join(fields)
 
 
@@ -182,36 +184,7 @@ def _write_csv(path: Path, meta: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _point_rows(points, mode: str, dist: str):
-    return [
-        [p.T, repr(p.mean_sigma), repr(p.stderr), p.n, p.master_seed, mode, dist]
-        for p in points
-    ]
-
-
 _POINT_HEADER = ["T", "mean_sigma", "stderr", "n", "master_seed", "mode", "dist_spec"]
-
-
-def _write_points(path: Path, meta: str, points, mode: str, dist: str) -> None:
-    _write_csv(path, meta, _POINT_HEADER, _point_rows(points, mode, dist))
-
-
-def _write_fit(path: Path, meta: str, fit, dist: str, mode: str) -> None:
-    _write_csv(
-        path,
-        meta,
-        ["dist_spec", "mode", "alpha", "intercept", "r_squared", "n_points"],
-        [[dist, mode, repr(exponent(fit)), repr(fit.intercept), repr(fit.r_squared), len(fit.points)]],
-    )
-
-
-def _write_loglog(path: Path, meta: str, fit) -> None:
-    _write_csv(
-        path,
-        meta,
-        ["ln_T", "ln_inv_sigma"],
-        [[repr(x), repr(y)] for x, y in fit.points],
-    )
 
 
 def read_points_csv(path: str) -> tuple[list[EnsemblePoint], str, str]:
@@ -238,14 +211,6 @@ def read_points_csv(path: str) -> tuple[list[EnsemblePoint], str, str]:
     return points, mode, dist
 
 
-def _resolve_spec(args) -> DistributionSpec:
-    spec = parse_dist_spec(args.dist)
-    if getattr(args, "paper_poisson1", False):
-        spec = spec.with_r_max(5)
-        args.dist = spec.spec_string()
-    return spec
-
-
 def _warn_small_n(n: int) -> None:
     if n < 30:
         print(
@@ -254,173 +219,244 @@ def _warn_small_n(n: int) -> None:
         )
 
 
-def cmd_walk(args) -> int:
-    spec = _resolve_spec(args)
-    pmf = truncate(spec)
+@dataclass
+class _Law:
+    """One jump law of a run and everything evaluating it produced."""
+
+    label: str = ""
+    spec: DistributionSpec | None = None
+    dist: str = ""
+    mode: str = ""
+    points: list[EnsemblePoint] = field(default_factory=list)
+    norm_rows: list[list] = field(default_factory=list)
+    pmf_rows: list[list] = field(default_factory=list)
+    sigma: float = 0.0
+    fit: ScalingFit | None = None
+
+
+# --- evaluation: fill one law's results ------------------------------------
+
+
+def _ensemble(args, law: _Law, grid: list[int] | None) -> None:
+    """Quenched averages over the grid (or at --T); static runs also log norm deviations."""
+    # Table rows have no mode setting: they sweep dynamic disorder.
+    law.mode = vars(args).get("mode", "dynamic")
+    for T in grid or [args.T]:
+        if law.mode == "static":
+            point, mean_dev, max_dev = static_quenched_average(
+                law.spec, T, args.n, args.seed, args.workers
+            )
+            law.norm_rows.append([T, repr(mean_dev), repr(max_dev), args.n])
+        else:
+            point = quenched_average(law.spec, T, args.n, args.seed, law.mode, args.workers)
+        law.points.append(point)
+
+
+def _walk(args, law: _Law, grid: None) -> None:
+    """One disorder realization at T, optionally beside the ordered walk."""
     seed = derive_seed(args.seed, 0)
-    realization = sample_dynamic_realization(pmf, args.T, seed)
-    state = run_dynamic(args.T, realization.jumps, hadamard())
-    dist = position_distribution(state)
-    sigma = std_dev(dist)
-
-    ordered = None
+    realization = sample_dynamic_realization(truncate(law.spec), args.T, seed)
+    columns = [position_distribution(run_dynamic(args.T, realization.jumps, hadamard()))]
     if args.overlay_ordered:
-        ordered = position_distribution(run_dynamic(args.T, [1] * args.T, hadamard()))
-    sites = sorted(set(dist) | set(ordered or {}))
-    header = ["site", "probability"] + (["ordered_probability"] if ordered else [])
-    rows = []
-    for site in sites:
-        row = [site, repr(dist.get(site, 0.0))]
-        if ordered is not None:
-            row.append(repr(ordered.get(site, 0.0)))
-        rows.append(row)
-    meta = _meta_line("walk", args, extra=f"T={args.T}")
-    _write_csv(_out_path(args, "pmf"), meta, header, rows)
-    print(f"T={args.T} dist={args.dist} sigma={sigma:.6f}")
-    return EXIT_OK
-
-
-def cmd_ensemble(args) -> int:
-    spec = _resolve_spec(args)
-    _warn_small_n(args.n)
-    point = quenched_average(spec, args.T, args.n, args.seed, args.mode, args.workers)
-    meta = _meta_line("ensemble", args, extra=f"T={args.T}")
-    _write_points(_out_path(args, "points"), meta, [point], args.mode, args.dist)
-    print(
-        f"T={point.T} mean_sigma={point.mean_sigma:.6f} "
-        f"stderr={point.stderr:.6f} n={point.n}"
-    )
-    return EXIT_OK
-
-
-def _sweep_points(args, spec, grid, mode):
-    return [
-        quenched_average(spec, T, args.n, args.seed, mode, args.workers) for T in grid
+        columns.append(position_distribution(run_dynamic(args.T, [1] * args.T, hadamard())))
+    law.sigma = std_dev(columns[0])
+    law.pmf_rows = [
+        [site, *(repr(column.get(site, 0.0)) for column in columns)]
+        for site in sorted(set().union(*columns))
     ]
 
 
-def cmd_sweep(args) -> int:
-    spec = _resolve_spec(args)
-    grid = parse_grid(args.grid)
-    _warn_small_n(args.n)
-    points = _sweep_points(args, spec, grid, args.mode)
-    fit = fit_line(loglog_points(points))
-    alpha = exponent(fit)
-    meta = _meta_line("sweep", args)
-    _write_points(_out_path(args, "points"), meta, points, args.mode, args.dist)
-    _write_fit(_out_path(args, "fit"), meta, fit, args.dist, args.mode)
-    _write_loglog(_out_path(args, "loglog"), meta, fit)
-    print(
+def _read(args, law: _Law, grid: None) -> None:
+    """The points, mode and law recorded in an ensemble-point CSV."""
+    law.points, law.mode, law.dist = read_points_csv(args.input)
+    args.dist = law.dist
+
+
+# --- stdout lines, one per law ---------------------------------------------
+
+
+def _sigma_line(args, law: _Law) -> str:
+    return f"T={args.T} dist={args.dist} sigma={law.sigma:.6f}"
+
+
+def _point_line(args, law: _Law) -> str:
+    (p,) = law.points
+    return f"T={p.T} mean_sigma={p.mean_sigma:.6f} stderr={p.stderr:.6f} n={p.n}"
+
+
+def _alpha_line(args, law: _Law) -> str:
+    alpha = exponent(law.fit)
+    return (
         f"alpha={alpha:.4f} ({classify_exponent(alpha)}) "
-        f"intercept={fit.intercept:.4f} r2={fit.r_squared:.6f}"
+        f"intercept={law.fit.intercept:.4f} r2={law.fit.r_squared:.6f}"
     )
-    return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    points, mode, dist = read_points_csv(args.input)
-    fit = fit_line(loglog_points(points))
-    args.dist = dist
-    meta = _meta_line("fit", args, extra=f"src={args.input}")
-    _write_fit(_out_path(args, "fit"), meta, fit, dist, mode)
-    _write_loglog(_out_path(args, "loglog"), meta, fit)
-    print(f"alpha={exponent(fit):.4f} ({classify_exponent(exponent(fit))})")
-    return EXIT_OK
+def _refit_line(args, law: _Law) -> str:
+    return f"alpha={exponent(law.fit):.4f} ({classify_exponent(exponent(law.fit))})"
 
 
-def _table_sweep(args, specs_with_labels, out_name: str, command: str) -> int:
-    grid = parse_grid(args.grid)
-    _warn_small_n(args.n)
+def _exponent_line(args, law: _Law) -> str:
+    return f"{law.dist}: exponent={law.fit.slope:.4f}"
+
+
+def _saturation_line(args, law: _Law) -> str:
+    tail = [p.mean_sigma for p in law.points if p.T >= 10]
+    if not tail:
+        return "grid has no T >= 10 points; no saturation summary"
+    return (
+        f"saturation window T>=10: mean_sigma in "
+        f"[{min(tail):.4f}, {max(tail):.4f}] over {len(tail)} points"
+    )
+
+
+# --- CSV writers: (header, rows) over all laws -----------------------------
+
+
+def _pmf_csv(args, laws: list[_Law]):
+    header = ["site", "probability"] + (["ordered_probability"] if args.overlay_ordered else [])
+    return header, [row for law in laws for row in law.pmf_rows]
+
+
+def _points_csv(args, laws: list[_Law]):
+    return _POINT_HEADER, [
+        [p.T, repr(p.mean_sigma), repr(p.stderr), p.n, p.master_seed, law.mode, law.dist]
+        for law in laws
+        for p in law.points
+    ]
+
+
+def _fit_csv(args, laws: list[_Law]):
+    return ["dist_spec", "mode", "alpha", "intercept", "r_squared", "n_points"], [
+        [law.dist, law.mode, repr(exponent(law.fit)), repr(law.fit.intercept),
+         repr(law.fit.r_squared), len(law.fit.points)]
+        for law in laws
+    ]
+
+
+def _loglog_csv(args, laws: list[_Law]):
+    return ["ln_T", "ln_inv_sigma"], [
+        [repr(x), repr(y)] for law in laws for x, y in law.fit.points
+    ]
+
+
+def _normdev_csv(args, laws: list[_Law]):
+    return ["T", "mean_norm_deviation", "max_norm_deviation", "n"], [
+        row for law in laws for row in law.norm_rows
+    ]
+
+
+def _table_csv(args, laws: list[_Law]):
     rows = []
-    for label, spec in specs_with_labels:
-        points = _sweep_points(args, spec, grid, "dynamic")
-        fit = fit_line(loglog_points(points))
-        mean, variance = family_mean_variance(spec)
-        rows.append(
-            [label, spec.spec_string(), repr(mean), repr(variance), repr(fit.slope), repr(fit.r_squared)]
-        )
-        print(f"{spec.spec_string()}: exponent={fit.slope:.4f}")
-    meta = _meta_line(command, args)
-    _write_csv(
-        _out_path(args, out_name),
-        meta,
-        ["class", "dist_spec", "mean", "variance", "exponent", "r_squared"],
-        rows,
-    )
-    return EXIT_OK
+    for law in laws:
+        mean, variance = family_mean_variance(law.spec)
+        rows.append([law.label, law.dist, repr(mean), repr(variance),
+                     repr(law.fit.slope), repr(law.fit.r_squared)])
+    return ["class", "dist_spec", "mean", "variance", "exponent", "r_squared"], rows
 
 
-def cmd_table_means(args) -> int:
-    specs = [
-        ("poisson", DistributionSpec("poisson", {"lambda": mean}))
-        for mean in (0.5, 1.0, 1.5, 2.0)
-    ]
-    return _table_sweep(args, specs, "table_means", "table-means")
+# --- the command table ------------------------------------------------------
 
 
-def cmd_table_classes(args) -> int:
-    specs = [
-        ("sub-poissonian", DistributionSpec("binomial", {"n": 2, "p": 0.5})),
-        ("sub-poissonian", DistributionSpec("binomial", {"n": 9, "p": 1 / 9})),
-        ("sub-poissonian", DistributionSpec("hypergeom", {"N": 4, "K": 2, "n": 2})),
-        ("super-poissonian", DistributionSpec("negbinom", {"r": 1, "p": 0.5})),
-        ("super-poissonian", DistributionSpec("negbinom", {"r": 9, "p": 0.1})),
-        ("super-poissonian", DistributionSpec("geometric", {"p": 0.5})),
-    ]
-    return _table_sweep(args, specs, "table_classes", "table-classes")
+class _Flag(NamedTuple):
+    option: str
+    type: type
+    help: str | None
+    default: object = None  # None: required unless the row sets a default
+    choices: tuple[str, ...] | None = None
 
 
-def cmd_static_sweep(args) -> int:
-    spec = _resolve_spec(args)
-    grid = parse_grid(args.grid)
-    _warn_small_n(args.n)
-    points = []
-    norm_rows = []
-    for T in grid:
-        point, mean_dev, max_dev = static_quenched_average(
-            spec, T, args.n, args.seed, args.workers
-        )
-        points.append(point)
-        norm_rows.append([T, repr(mean_dev), repr(max_dev), args.n])
-    args.mode = "static"
-    meta = _meta_line("static-sweep", args)
-    _write_points(_out_path(args, "points"), meta, points, "static", args.dist)
-    _write_csv(
-        _out_path(args, "normdev"),
-        meta,
-        ["T", "mean_norm_deviation", "max_norm_deviation", "n"],
-        norm_rows,
-    )
-    tail = [p.mean_sigma for p in points if p.T >= 10]
-    if tail:
-        print(
-            f"saturation window T>=10: mean_sigma in "
-            f"[{min(tail):.4f}, {max(tail):.4f}] over {len(tail)} points"
-        )
-    else:
-        print("grid has no T >= 10 points; no saturation summary")
-    return EXIT_OK
+_FLAGS = {
+    "T": _Flag("--T", int, "iteration count"),
+    "overlay_ordered": _Flag(
+        "--overlay-ordered", bool, "add the no-disorder distribution as a column", False
+    ),
+    "input": _Flag("--in", str, "ensemble-point CSV"),
+    "dist": _Flag("--dist", str, "distribution spec string", "poisson:lambda=1.0"),
+    "paper_poisson1": _Flag(
+        "--paper-poisson1", bool,
+        "pin the effective maximal jump to 5 (unit-mean Poisson preset)", False,
+    ),
+    "grid": _Flag("--grid", str, "T grid, start:stop:x2 or start:stop:+k", "4:24:+2"),
+    "n": _Flag("--n", int, "disorder realizations per point", 4000),
+    "mode": _Flag("--mode", str, None, "dynamic", ("dynamic", "static")),
+    "workers": _Flag("--workers", int, "parallel worker processes", 1),
+    "seed": _Flag("--seed", int, "64-bit master seed", 42),
+    "out": _Flag("--out", str, "output path prefix", "jumpwalk"),
+    "config": _Flag("--config", str, "flat key=value config file", ""),
+}
+
+_COMMON = ("seed", "out", "config")
+_ENSEMBLE = ("n", "workers", *_COMMON)
 
 
-def _out_path(args, kind: str) -> Path:
-    return Path(f"{args.out}_{kind}.csv")
+@dataclass(frozen=True)
+class Command:
+    """One subcommand as data; see the module docstring."""
+
+    help: str
+    flags: tuple[str, ...]
+    evaluate: Callable[[argparse.Namespace, _Law, list[int] | None], None]
+    report: Callable[[argparse.Namespace, _Law], str]
+    writers: tuple[tuple[str, Callable], ...]
+    fit: bool = False
+    defaults: Mapping[str, object] = field(default_factory=dict)
+    laws: tuple[tuple[str, DistributionSpec], ...] = ()
 
 
-def _add_common(sub, *, dist=None, grid=None, n=True, mode=False):
-    if dist is not None:
-        sub.add_argument("--dist", default=dist, help="distribution spec string")
-    if grid is not None:
-        sub.add_argument("--grid", default=grid, help="T grid, start:stop:x2 or start:stop:+k")
-    if n:
-        sub.add_argument("--n", type=int, default=None, help="disorder realizations per point")
-    if mode:
-        sub.add_argument("--mode", choices=["dynamic", "static"], default="dynamic")
-    sub.add_argument("--seed", type=int, default=None, help="64-bit master seed")
-    sub.add_argument("--workers", type=int, default=None, help="parallel worker processes")
-    sub.add_argument("--out", default=None, help="output path prefix")
-    sub.add_argument("--paper-poisson1", action="store_true",
-                     help="pin the effective maximal jump to 5 (unit-mean Poisson preset)")
-    sub.add_argument("--config", default=None, help="flat key=value config file")
+MEANS_LAWS = tuple(
+    ("poisson", DistributionSpec("poisson", {"lambda": mean})) for mean in (0.5, 1.0, 1.5, 2.0)
+)
+CLASS_LAWS = (
+    ("sub-poissonian", DistributionSpec("binomial", {"n": 2, "p": 0.5})),
+    ("sub-poissonian", DistributionSpec("binomial", {"n": 9, "p": 1 / 9})),
+    ("sub-poissonian", DistributionSpec("hypergeom", {"N": 4, "K": 2, "n": 2})),
+    ("super-poissonian", DistributionSpec("negbinom", {"r": 1, "p": 0.5})),
+    ("super-poissonian", DistributionSpec("negbinom", {"r": 9, "p": 0.1})),
+    ("super-poissonian", DistributionSpec("geometric", {"p": 0.5})),
+)
+
+_POINTS = ("points", _points_csv)
+_FIT = (("fit", _fit_csv), ("loglog", _loglog_csv))
+
+COMMANDS = {
+    "walk": Command(
+        "single-realization position distribution",
+        ("T", "overlay_ordered", "dist", "paper_poisson1", *_COMMON),
+        _walk, _sigma_line, (("pmf", _pmf_csv),), defaults={"T": 160},
+    ),
+    "ensemble": Command(
+        "quenched average at a single T",
+        ("T", "dist", "paper_poisson1", "mode", *_ENSEMBLE),
+        _ensemble, _point_line, (_POINTS,),
+    ),
+    "sweep": Command(
+        "T sweep plus scaling fit",
+        ("dist", "paper_poisson1", "grid", "mode", *_ENSEMBLE),
+        _ensemble, _alpha_line, (_POINTS, *_FIT), fit=True,
+    ),
+    "fit": Command(
+        "fit an existing ensemble-point CSV",
+        ("input", *_COMMON),
+        _read, _refit_line, _FIT, fit=True,
+    ),
+    "table-means": Command(
+        "Poisson means 0.5/1.0/1.5/2.0 table",
+        ("grid", *_ENSEMBLE),
+        _ensemble, _exponent_line, (("table_means", _table_csv),), fit=True, laws=MEANS_LAWS,
+    ),
+    "table-classes": Command(
+        "six unit-mean class configurations",
+        ("grid", *_ENSEMBLE),
+        _ensemble, _exponent_line, (("table_classes", _table_csv),), fit=True, laws=CLASS_LAWS,
+    ),
+    "static-sweep": Command(
+        "per-site disorder sweep",
+        ("dist", "paper_poisson1", "grid", *_ENSEMBLE),
+        _ensemble, _saturation_line, (_POINTS, ("normdev", _normdev_csv)),
+        defaults={"grid": "2:40:+2", "mode": "static"},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,75 +466,86 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"jumpwalk {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    walk = subs.add_parser("walk", help="single-realization position distribution")
-    walk.add_argument("--T", type=int, default=160)
-    walk.add_argument("--overlay-ordered", action="store_true",
-                      help="add the no-disorder distribution as a column")
-    _add_common(walk, dist="poisson:lambda=1.0", n=False)
-
-    ens = subs.add_parser("ensemble", help="quenched average at a single T")
-    ens.add_argument("--T", type=int, required=True)
-    _add_common(ens, dist="poisson:lambda=1.0", mode=True)
-
-    sweep = subs.add_parser("sweep", help="T sweep plus scaling fit")
-    _add_common(sweep, dist="poisson:lambda=1.0", grid=DEFAULT_GRID, mode=True)
-
-    fit = subs.add_parser("fit", help="fit an existing ensemble-point CSV")
-    fit.add_argument("--in", dest="input", required=True, help="ensemble-point CSV")
-    _add_common(fit, n=False)
-
-    means = subs.add_parser("table-means", help="Poisson means 0.5/1.0/1.5/2.0 table")
-    _add_common(means, grid=DEFAULT_GRID)
-
-    classes = subs.add_parser("table-classes", help="six unit-mean class configurations")
-    _add_common(classes, grid=DEFAULT_GRID)
-
-    static = subs.add_parser("static-sweep", help="per-site disorder sweep")
-    _add_common(static, dist="poisson:lambda=1.0", grid=DEFAULT_STATIC_GRID)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for key in command.flags:
+            flag = _FLAGS[key]
+            kind = ({"action": "store_true"} if flag.type is bool
+                    else {"type": flag.type, "choices": flag.choices})
+            # Every default is None so that a config value can tell an
+            # unset flag from one set to the default.
+            sub.add_argument(flag.option, dest=key, default=None, help=flag.help, **kind)
     return parser
 
 
-_COMMANDS = {
-    "walk": cmd_walk,
-    "ensemble": cmd_ensemble,
-    "sweep": cmd_sweep,
-    "fit": cmd_fit,
-    "table-means": cmd_table_means,
-    "table-classes": cmd_table_classes,
-    "static-sweep": cmd_static_sweep,
-}
+def _config_value(key: str, raw: str):
+    """A config-file value converted like its flag's argument."""
+    flag = _FLAGS[key]
+    if flag.type is bool:
+        value = {"true": True, "false": False}.get(raw.lower())
+    else:
+        try:
+            value = flag.type(raw)
+        except ValueError:
+            value = None
+    if value is None or (flag.choices and value not in flag.choices):
+        raise SpecError(f"config key {key!r} has invalid value {raw!r}")
+    return value
 
-# Fallbacks applied after flag and config-file resolution.
-_HARD_DEFAULTS = {"seed": DEFAULT_SEED, "n": DEFAULT_N, "workers": 1, "out": "jumpwalk"}
 
-_CONFIG_INT_KEYS = {"seed", "n", "workers", "T"}
-
-
-def _apply_config(args) -> None:
+def _resolve_settings(command: Command, args) -> None:
+    """Fill every unset flag from the config file, then from the defaults."""
     config = read_config(args.config) if args.config else {}
     for key, raw in config.items():
-        if not hasattr(args, key):
-            raise SpecError(f"config key {key!r} does not match any flag")
+        if key not in command.flags or key == "config":
+            raise SpecError(f"config key {key!r} does not match any flag of this command")
         if getattr(args, key) is None:
-            value = int(raw) if key in _CONFIG_INT_KEYS else raw
+            setattr(args, key, _config_value(key, raw))
+    defaults = {key: _FLAGS[key].default for key in command.flags}
+    for key, value in {**defaults, **command.defaults}.items():
+        if getattr(args, key, None) is None:
             setattr(args, key, value)
-    for key, value in _HARD_DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+    missing = [_FLAGS[key].option for key in command.flags if getattr(args, key) is None]
+    if missing:
+        raise SpecError(f"missing required setting(s) {', '.join(missing)}")
+    if "n" in args and args.n < 1:
+        raise ValueError(f"need at least one realization, got n={args.n}")
+    if "workers" in args and args.workers < 1:
+        raise ValueError(f"need at least one worker, got {args.workers}")
+
+
+def _run(name: str, args) -> int:
+    """The one pipeline: settings -> laws -> evaluate, fit, print -> CSVs."""
+    command = COMMANDS[name]
+    _resolve_settings(command, args)
+    if command.laws:
+        laws = [_Law(label, spec, spec.spec_string()) for label, spec in command.laws]
+    elif "dist" in args:
+        spec = parse_dist_spec(args.dist)
+        if args.paper_poisson1:
+            spec = spec.with_r_max(5)
+            args.dist = spec.spec_string()
+        laws = [_Law(spec=spec, dist=args.dist)]
+    else:
+        laws = [_Law()]
+    grid = parse_grid(args.grid) if "grid" in args else None
+    if "n" in args:
+        _warn_small_n(args.n)
+    for law in laws:
+        command.evaluate(args, law, grid)
+        if command.fit:
+            law.fit = fit_line(loglog_points(law.points))
+        print(command.report(args, law))
+    meta = _meta_line(name, args)
+    for kind, rows in command.writers:
+        _write_csv(Path(f"{args.out}_{kind}.csv"), meta, *rows(args, laws))
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
-        if getattr(args, "n", None) is not None and args.n < 1:
-            raise ValueError(f"need at least one realization, got n={args.n}")
-        if args.workers < 1:
-            raise ValueError(f"need at least one worker, got {args.workers}")
-        return _COMMANDS[args.command](args)
+        return _run(args.command, args)
     except SpecError as exc:
         print(f"jumpwalk: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -48,13 +48,19 @@ DEFAULT_TAIL_TOLERANCE = 1e-4
 _MAX_SUPPORT_SCAN = 10_000
 
 
+# The Poisson, binomial and negative-binomial masses are exp of their
+# logarithm: the linear forms overflow (lam**k, k!, or a binomial
+# coefficient converted to float) long before the mass itself leaves the
+# float range.  math.log takes the exact integer coefficient at any size.
+
+
 def pmf_poisson(lam: float, k: int) -> float:
     """Poisson mass e^(-lam) * lam^k / k!."""
     if lam <= 0:
         raise ValueError(f"poisson rate must be positive, got {lam}")
     if k < 0:
         raise ValueError(f"poisson count must be non-negative, got {k}")
-    return math.exp(-lam) * lam**k / math.factorial(k)
+    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
 def pmf_binomial(n: int, p: float, k: int) -> float:
@@ -65,7 +71,7 @@ def pmf_binomial(n: int, p: float, k: int) -> float:
         raise ValueError(f"binomial trial count must be >= 1, got {n}")
     if k < 0 or k > n:
         raise ValueError(f"binomial count must be in [0, {n}], got {k}")
-    return math.comb(n, k) * p**k * (1 - p) ** (n - k)
+    return math.exp(math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
 def pmf_hypergeometric(N: int, K: int, n: int, k: int) -> float:
@@ -97,7 +103,7 @@ def pmf_negative_binomial(r: int, p: float, k: int) -> float:
         raise ValueError(f"success probability must be in (0,1), got {p}")
     if k < 0:
         raise ValueError(f"success count must be non-negative, got {k}")
-    return math.comb(k + r - 1, k) * (1 - p) ** r * p**k
+    return math.exp(math.log(math.comb(k + r - 1, k)) + r * math.log1p(-p) + k * math.log(p))
 
 
 def pmf_geometric(p: float, k: int) -> float:
@@ -281,21 +287,28 @@ def truncate(spec: DistributionSpec) -> TruncatedJumpPmf:
         raw = [family_pmf(spec, k) for k in range(r + 1)]
         tail = 0.0
     else:
-        raw = []
-        cumulative = 0.0
-        r = None
-        for k in range(_MAX_SUPPORT_SCAN):
-            raw.append(family_pmf(spec, k))
-            cumulative = math.fsum(raw)
-            if 1.0 - cumulative <= spec.tail_tolerance:
-                r = k
-                break
-        if r is None:
-            raise ValueError(
-                f"no cut point below {_MAX_SUPPORT_SCAN} reaches tail tolerance "
-                f"{spec.tail_tolerance} for {spec}"
-            )
-        tail = max(0.0, 1.0 - cumulative)
+        raw: list[float] = []
+
+        def tail_ok(k: int) -> bool:
+            raw.extend(family_pmf(spec, i) for i in range(len(raw), k + 1))
+            return 1.0 - math.fsum(raw[: k + 1]) <= spec.tail_tolerance
+
+        # Exact prefix sums never decrease in k, so tail_ok is monotone:
+        # double the probe until it holds, then bisect down to the first k.
+        lo, hi = -1, 0
+        while not tail_ok(hi):
+            if hi == _MAX_SUPPORT_SCAN - 1:
+                raise ValueError(
+                    f"no cut point below {_MAX_SUPPORT_SCAN} reaches tail tolerance "
+                    f"{spec.tail_tolerance} for {spec}"
+                )
+            lo, hi = hi, min(2 * hi + 1, _MAX_SUPPORT_SCAN - 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if tail_ok(mid) else (mid, hi)
+        r = hi
+        raw = raw[: r + 1]
+        tail = max(0.0, 1.0 - math.fsum(raw))
 
     total = math.fsum(raw)
     if total <= 0.0:

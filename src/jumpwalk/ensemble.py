@@ -19,8 +19,8 @@ from multiprocessing import get_context
 import numpy as np
 
 from .distributions import DistributionSpec, TruncatedJumpPmf, sample_many, truncate
-from .scaling import std_dev
-from .walk import SiteJumpMap, hadamard, position_distribution, run_dynamic, run_static
+from .scaling import site_std_dev
+from .walk import SiteJumpMap, hadamard, run_dynamic, run_static
 
 __all__ = [
     "Realization",
@@ -67,11 +67,14 @@ class Realization:
     jump table alone does not fix it).
     """
 
-    mode: str
     jumps: np.ndarray | SiteJumpMap
     seed: int
     index: int
     t_steps: int
+
+    @property
+    def mode(self) -> str:
+        return "static" if isinstance(self.jumps, SiteJumpMap) else "dynamic"
 
 
 def sample_dynamic_realization(
@@ -82,7 +85,7 @@ def sample_dynamic_realization(
         raise ValueError(f"need T >= 1, got {T}")
     rng = np.random.Generator(np.random.PCG64(seed))
     jumps = sample_many(pmf, rng.random(T))
-    return Realization(mode="dynamic", jumps=jumps, seed=seed, index=index, t_steps=T)
+    return Realization(jumps=jumps, seed=seed, index=index, t_steps=T)
 
 
 def sample_static_realization(
@@ -106,9 +109,8 @@ def sample_static_realization(
     jumps[extent] = draws[0]
     jumps[extent + offsets] = draws[2 * offsets - 1]
     jumps[extent - offsets] = draws[2 * offsets]
-    site_jumps = SiteJumpMap(extent, jumps)
     return Realization(
-        mode="static", jumps=site_jumps, seed=seed, index=index, t_steps=t_steps
+        jumps=SiteJumpMap(extent, jumps), seed=seed, index=index, t_steps=t_steps
     )
 
 
@@ -118,16 +120,18 @@ def sigma_of_realization(realization: Realization, coin: np.ndarray) -> float:
 
 
 def _run_realization(realization: Realization, coin: np.ndarray) -> tuple[float, float]:
-    """Run a realization; return (sigma, max |norm - 1| over iterations)."""
-    if realization.mode == "dynamic":
-        state = run_dynamic(realization.t_steps, realization.jumps, coin)
-        norm_dev = 0.0
-    elif realization.mode == "static":
+    """Run a realization; return (sigma, max |norm - 1| over iterations).
+
+    Dynamic runs check their norm at every iteration instead of logging
+    it, so their deviation reads 0.
+    """
+    if isinstance(realization.jumps, SiteJumpMap):
         state, norm_log = run_static(realization.t_steps, realization.jumps, coin)
         norm_dev = max(abs(x - 1.0) for x in norm_log)
     else:
-        raise ValueError(f"unknown realization mode {realization.mode!r}")
-    return std_dev(position_distribution(state)), norm_dev
+        state = run_dynamic(realization.t_steps, realization.jumps, coin)
+        norm_dev = 0.0
+    return site_std_dev(state.sites(), state.probabilities()), norm_dev
 
 
 @dataclass
@@ -147,14 +151,20 @@ class EnsemblePoint:
             raise ValueError("dispersion statistics cannot be negative")
 
 
-def _ensemble_task(index_seed: tuple[int, int], pmf, T, mode) -> tuple[float, float]:
+def _dynamic_task(index_seed: tuple[int, int], pmf, T) -> tuple[float, float]:
     index, seed = index_seed
-    if mode == "dynamic":
-        realization = sample_dynamic_realization(pmf, T, seed, index)
-    else:
-        extent = max(1, T * pmf.r_max)
-        realization = sample_static_realization(pmf, extent, seed, T, index)
+    return _run_realization(sample_dynamic_realization(pmf, T, seed, index), hadamard())
+
+
+def _static_task(index_seed: tuple[int, int], pmf, T) -> tuple[float, float]:
+    index, seed = index_seed
+    extent = max(1, T * pmf.r_max)
+    realization = sample_static_realization(pmf, extent, seed, T, index)
     return _run_realization(realization, hadamard())
+
+
+# The ensemble task per mode; its keys are the accepted mode strings.
+_TASKS = {"dynamic": _dynamic_task, "static": _static_task}
 
 
 _POOL: ProcessPoolExecutor | None = None
@@ -162,8 +172,13 @@ _POOL_WORKERS = 0
 
 
 def _get_pool(workers: int) -> ProcessPoolExecutor:
+    """The shared worker pool, rebuilt when the count changes or it broke.
+
+    A worker that dies (killed, or ``os._exit``) marks the executor broken
+    for good; ``_broken`` is the executor's own record of that.
+    """
     global _POOL, _POOL_WORKERS
-    if _POOL is None or _POOL_WORKERS != workers:
+    if _POOL is None or _POOL_WORKERS != workers or _POOL._broken:
         if _POOL is not None:
             _POOL.shutdown()
         _POOL = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
@@ -181,8 +196,8 @@ def _shutdown_pool():
 atexit.register(_shutdown_pool)
 
 
-def _collect(pmf, T, n, master_seed, mode, workers) -> tuple[list[float], list[float]]:
-    task = partial(_ensemble_task, pmf=pmf, T=T, mode=mode)
+def _collect(task, pmf, T, n, master_seed, workers) -> tuple[list[float], list[float]]:
+    task = partial(task, pmf=pmf, T=T)
     pairs = [(i, derive_seed(master_seed, i)) for i in range(n)]
     if workers <= 1:
         results = [task(p) for p in pairs]
@@ -220,12 +235,12 @@ def quenched_average(
     distributions.  Output is fully determined by the arguments and is
     identical for any worker count.
     """
-    if mode not in ("dynamic", "static"):
+    if mode not in _TASKS:
         raise ValueError(f"mode must be 'dynamic' or 'static', got {mode!r}")
     if n < 1:
         raise ValueError(f"need at least one realization, got n={n}")
     pmf = truncate(spec)
-    sigmas, _ = _collect(pmf, T, n, master_seed, mode, workers)
+    sigmas, _ = _collect(_TASKS[mode], pmf, T, n, master_seed, workers)
     return _summarize(sigmas, T, master_seed)
 
 
@@ -246,7 +261,7 @@ def static_quenched_average(
     if n < 1:
         raise ValueError(f"need at least one realization, got n={n}")
     pmf = truncate(spec)
-    sigmas, norm_devs = _collect(pmf, T, n, master_seed, "static", workers)
+    sigmas, norm_devs = _collect(_static_task, pmf, T, n, master_seed, workers)
     point = _summarize(sigmas, T, master_seed)
     mean_dev = math.fsum(norm_devs) / len(norm_devs)
     max_dev = max(norm_devs)

@@ -13,11 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:
     from .ensemble import EnsemblePoint
 
 __all__ = [
     "ScalingFit",
+    "site_std_dev",
     "std_dev",
     "loglog_points",
     "fit_line",
@@ -26,19 +29,26 @@ __all__ = [
 ]
 
 
-def std_dev(pmf: Mapping[int, float]) -> float:
-    """Central standard deviation of a site-probability map.
+def site_std_dev(sites: Sequence[float], probs: Sequence[float]) -> float:
+    """Central standard deviation of probabilities ``probs`` at ``sites``.
 
-    Sums run over sites in sorted order through math.fsum, so the result
-    is reproducible to full precision regardless of map ordering.
+    Every sum goes through math.fsum, which rounds the exact sum once, so
+    the result does not depend on the order of the sites and zero-mass
+    sites change nothing.
     """
-    sites = sorted(pmf)
-    total = math.fsum(pmf[i] for i in sites)
+    sites = np.asarray(sites, dtype=np.float64)
+    probs = np.asarray(probs, dtype=np.float64)
+    total = math.fsum(probs.tolist())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"position distribution sums to {total}, not 1")
-    mean = math.fsum(i * pmf[i] for i in sites)
-    second = math.fsum(i * i * pmf[i] for i in sites)
+    mean = math.fsum((sites * probs).tolist())
+    second = math.fsum((sites * sites * probs).tolist())
     return math.sqrt(max(second - mean * mean, 0.0))
+
+
+def std_dev(pmf: Mapping[int, float]) -> float:
+    """Central standard deviation of a site-probability map."""
+    return site_std_dev(list(pmf), list(pmf.values()))
 
 
 def loglog_points(points: "Sequence[EnsemblePoint]") -> list[tuple[float, float]]:

@@ -4,8 +4,10 @@ The joint coin-position state is a dense complex table of shape
 ``(2, 2*max_extent + 1)``; column ``max_extent + i`` stores the amplitude
 at lattice site i.  One iteration applies the coin rotation to every
 site's coin doublet and then displaces the coin-0 component by +j and
-the coin-1 component by -j.  A brute-force path-sum oracle provides an
-independent check of the evolved position distribution.
+the coin-1 component by -j.  Every evolution, from one step to a full
+static run, goes through the single kernel ``_evolve``.  A brute-force
+path-sum oracle provides an independent check of the evolved position
+distribution.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ NORM_TOL = 1e-12
 # the 1e-9 normalization check divided by any realistic T.
 STATIC_RENORM_TOL = 1e-12
 _ORACLE_MAX_T = 12
+_IDENTITY = np.eye(2, dtype=np.complex128)
 
 
 def hadamard() -> np.ndarray:
@@ -73,6 +76,15 @@ class WalkState:
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
+    def sites(self) -> np.ndarray:
+        """Lattice site of every storage column."""
+        return np.arange(-self.max_extent, self.max_extent + 1)
+
+    def probabilities(self) -> np.ndarray:
+        """Site probabilities |amp(0,i)|^2 + |amp(1,i)|^2 per storage column."""
+        amps = self.amplitudes
+        return (amps.real**2 + amps.imag**2).sum(axis=0)
+
     def copy(self) -> "WalkState":
         return WalkState(self.amplitudes.copy(), self.t, self.max_extent)
 
@@ -88,40 +100,22 @@ def initial_state(max_extent: int) -> WalkState:
 
 def apply_coin(state: WalkState, coin: np.ndarray) -> WalkState:
     """Rotate every site's coin doublet by the 2x2 unitary ``coin``."""
-    coin = np.asarray(coin, dtype=np.complex128)
-    if not is_unitary(coin):
-        raise ValueError("coin operator is not unitary within 1e-12")
-    return WalkState(coin @ state.amplitudes, state.t, state.max_extent)
+    return _one_iteration(state, coin, 0, state.t)
 
 
 def apply_shift(state: WalkState, j: int) -> WalkState:
     """Move coin-0 amplitude j sites right and coin-1 amplitude j sites left."""
-    if j != int(j) or j < 0:
-        raise ValueError(f"jump length must be a non-negative integer, got {j}")
-    j = int(j)
-    amps = state.amplitudes
-    if j == 0:
-        return WalkState(amps.copy(), state.t, state.max_extent)
-    width = amps.shape[1]
-    if j >= width or amps[0, width - j :].any() or amps[1, :j].any():
-        raise ValueError(
-            f"shift by {j} would push amplitude beyond the allocated extent "
-            f"{state.max_extent} (allocation bug)"
-        )
-    out = np.zeros_like(amps)
-    out[0, j:] = amps[0, : width - j]
-    out[1, : width - j] = amps[1, j:]
-    return WalkState(out, state.t, state.max_extent)
+    return _one_iteration(state, _IDENTITY, j, state.t)
 
 
 def step(state: WalkState, coin: np.ndarray, j: int) -> WalkState:
     """One iteration: coin rotation followed by the jump-j shift."""
-    out = apply_shift(apply_coin(state, coin), j)
-    out.t = state.t + 1
-    norm2 = out.norm_squared()
-    if abs(norm2 - 1.0) > NORM_TOL:
-        raise ValueError(f"norm drifted to {norm2} after step {out.t}")
-    return out
+    return _one_iteration(state, coin, j, state.t + 1)
+
+
+def _one_iteration(state: WalkState, coin: np.ndarray, j: int, t: int) -> WalkState:
+    amplitudes, _ = _evolve(state.amplitudes.copy(), coin, [j], 1)
+    return WalkState(amplitudes, t, state.max_extent)
 
 
 def run_dynamic(T: int, jumps: Sequence[int], coin: np.ndarray) -> WalkState:
@@ -130,40 +124,10 @@ def run_dynamic(T: int, jumps: Sequence[int], coin: np.ndarray) -> WalkState:
     Storage is allocated once for the exact support bound sum(jumps), so
     no shift can leave the table; an overflow raises instead of wrapping.
     """
-    jumps = [int(j) for j in jumps]
-    if T < 1 or len(jumps) == 0:
-        raise ValueError("need at least one iteration and one jump length")
-    if len(jumps) != T:
-        raise ValueError(f"expected {T} jump lengths, got {len(jumps)}")
-    if any(j < 0 for j in jumps):
-        raise ValueError("jump lengths must be non-negative")
-    coin = np.asarray(coin, dtype=np.complex128)
-    if not is_unitary(coin):
-        raise ValueError("coin operator is not unitary within 1e-12")
-
-    ext = max(1, sum(jumps))
-    width = 2 * ext + 1
-    a = np.zeros((2, width), dtype=np.complex128)
-    a[0, ext] = 1.0
-    b = np.empty_like(a)
-    for t, j in enumerate(jumps, start=1):
-        np.matmul(coin, a, out=b)
-        if j == 0:
-            a, b = b, a
-        else:
-            if b[0, width - j :].any() or b[1, :j].any():
-                raise ValueError(
-                    f"shift by {j} at iteration {t} exceeds extent {ext} "
-                    "(allocation bug)"
-                )
-            a[0, j:] = b[0, : width - j]
-            a[0, :j] = 0.0
-            a[1, : width - j] = b[1, j:]
-            a[1, width - j :] = 0.0
-        norm2 = np.vdot(a, a).real
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise ValueError(f"norm drifted to {norm2} at iteration {t}")
-    return WalkState(amplitudes=a, t=T, max_extent=ext)
+    if T < 1 or len(jumps) != T:
+        raise ValueError(f"need T >= 1 and exactly T={T} jump lengths, got {len(jumps)}")
+    ext = max(1, sum(int(j) for j in jumps))
+    return WalkState(_evolve(initial_state(ext).amplitudes, coin, jumps, T)[0], T, ext)
 
 
 @dataclass
@@ -213,51 +177,102 @@ def run_static(
     """
     if T < 1:
         raise ValueError(f"need at least one iteration, got {T}")
+    ext = site_jumps.extent
+    a, norm_log = _evolve(initial_state(ext).amplitudes, coin, site_jumps, T)
+    return WalkState(amplitudes=a, t=T, max_extent=ext), norm_log
+
+
+def _evolve(
+    a: np.ndarray, coin: np.ndarray, shifts: Sequence[int] | SiteJumpMap, T: int
+) -> tuple[np.ndarray, list[float]]:
+    """The one evolution kernel: T coin-then-shift iterations on table ``a``.
+
+    ``a`` is consumed (used as a work buffer).  The shift follows the type
+    of ``shifts``: per-iteration jump lengths shift each coin row by
+    slicing, which is unitary, so the squared norm must stay within
+    NORM_TOL of 1 and nothing is logged; a SiteJumpMap scatters every site
+    to its own target, which need not be unitary, so the norm of every
+    iteration is logged and the state renormalized when it drifts beyond
+    STATIC_RENORM_TOL.  Returns the final table and the logged norms.
+    """
     coin = np.asarray(coin, dtype=np.complex128)
     if not is_unitary(coin):
         raise ValueError("coin operator is not unitary within 1e-12")
-
-    ext = site_jumps.extent
-    width = 2 * ext + 1
-    idx = np.arange(width)
-    tgt0 = idx + site_jumps.jumps
-    tgt1 = idx - site_jumps.jumps
-    ok0 = tgt0 <= width - 1
-    ok1 = tgt1 >= 0
-    src0, dst0 = idx[ok0], tgt0[ok0]
-    src1, dst1 = idx[ok1], tgt1[ok1]
-    spill0, spill1 = idx[~ok0], idx[~ok1]
-
-    a = np.zeros((2, width), dtype=np.complex128)
-    a[0, ext] = 1.0
+    static = isinstance(shifts, SiteJumpMap)
+    shift = _site_scatter(shifts, a.shape[1]) if static else _uniform_shift(shifts, a.shape[1])
     b = np.empty_like(a)
     norm_log: list[float] = []
     for t in range(1, T + 1):
         np.matmul(coin, a, out=b)
-        if b[0, spill0].any() or b[1, spill1].any():
+        a, b = shift(b, a, t)
+        norm2 = np.vdot(a, a).real
+        if static:
+            norm = float(np.sqrt(norm2))
+            norm_log.append(norm)
+            if abs(norm - 1.0) > STATIC_RENORM_TOL:
+                if norm == 0.0:
+                    raise ValueError(f"state vanished at iteration {t}")
+                a /= norm
+        elif abs(norm2 - 1.0) > NORM_TOL:
+            raise ValueError(f"norm drifted to {norm2} at iteration {t}")
+    return a, norm_log
+
+
+def _uniform_shift(jumps: Sequence[int], width: int):
+    """Shift for per-iteration jump lengths: shift(src, dst, t) -> (state, spare)."""
+    steps = [int(j) for j in jumps]
+    if any(j != s or s < 0 for j, s in zip(jumps, steps)):
+        raise ValueError(f"jump lengths must be non-negative integers, got {list(jumps)}")
+
+    def shift(src, dst, t):
+        j = steps[t - 1]
+        if j == 0:
+            return src, dst
+        if j >= width or src[0, width - j :].any() or src[1, :j].any():
             raise ValueError(
-                f"site-dependent shift at iteration {t} exceeds extent {ext} "
-                "(jump map too small for this many iterations)"
+                f"shift by {j} at iteration {t} would push amplitude beyond the "
+                f"allocated extent {(width - 1) // 2} (allocation bug)"
             )
-        a[0] = np.bincount(dst0, weights=b[0, src0].real, minlength=width) + 1j * np.bincount(
-            dst0, weights=b[0, src0].imag, minlength=width
-        )
-        a[1] = np.bincount(dst1, weights=b[1, src1].real, minlength=width) + 1j * np.bincount(
-            dst1, weights=b[1, src1].imag, minlength=width
-        )
-        norm = float(np.sqrt(np.vdot(a, a).real))
-        norm_log.append(norm)
-        if abs(norm - 1.0) > STATIC_RENORM_TOL:
-            if norm == 0.0:
-                raise ValueError(f"state vanished at iteration {t}")
-            a /= norm
-    return WalkState(amplitudes=a, t=T, max_extent=ext), norm_log
+        dst[0, j:] = src[0, : width - j]
+        dst[0, :j] = 0.0
+        dst[1, : width - j] = src[1, j:]
+        dst[1, width - j :] = 0.0
+        return dst, src
+
+    return shift
+
+
+def _site_scatter(site_jumps: SiteJumpMap, width: int):
+    """Shift for a per-site map: shift(src, dst, t) -> (state, spare).
+
+    Coin-0 amplitude at column i goes to i + j_i and coin-1 amplitude to
+    i - j_i; colliding targets add up (bincount), so the norm can change.
+    """
+    idx = np.arange(width)
+    moves = []
+    for target in (idx + site_jumps.jumps, idx - site_jumps.jumps):
+        inside = (target >= 0) & (target < width)
+        moves.append((idx[inside], target[inside], idx[~inside]))
+
+    def shift(src, dst, t):
+        if any(src[c, spill].any() for c, (_, _, spill) in enumerate(moves)):
+            raise ValueError(
+                f"site-dependent shift at iteration {t} exceeds extent "
+                f"{site_jumps.extent} (jump map too small for this many iterations)"
+            )
+        for c, (source, target, _) in enumerate(moves):
+            w = src[c, source]
+            dst[c] = np.bincount(target, weights=w.real, minlength=width) + 1j * np.bincount(
+                target, weights=w.imag, minlength=width
+            )
+        return dst, src
+
+    return shift
 
 
 def position_distribution(state: WalkState) -> dict[int, float]:
     """Site probabilities |amp(0,i)|^2 + |amp(1,i)|^2 over the support."""
-    amps = state.amplitudes
-    p = (amps.real**2 + amps.imag**2).sum(axis=0)
+    p = state.probabilities()
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"state is not normalized (total probability {total})")

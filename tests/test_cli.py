@@ -107,6 +107,53 @@ class TestConfigFile:
         code = main(["ensemble", "--T", "4", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
 
+    def test_config_sets_sweep_flags_that_have_defaults(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid = 4:8:+2\ndist = poisson:lambda=2.0\nmode = static\nn = 4\n")
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        points, mode, dist = read_points_csv(f"{out}_points.csv")
+        assert [p.T for p in points] == [4, 6, 8]
+        assert (mode, dist) == ("static", "poisson:lambda=2.0")
+
+    def test_config_sets_walk_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("T = 12\noverlay_ordered = true\npaper_poisson1 = true\n")
+        out = tmp_path / "w"
+        assert main(["walk", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        lines = (tmp_path / "w_pmf.csv").read_text().splitlines()
+        assert "T=12" in lines[0]
+        assert "dist=poisson:lambda=1.0,rmax=5" in lines[0]
+        assert lines[1] == "site,probability,ordered_probability"
+
+    @pytest.mark.parametrize(
+        "text", ["n = abc", "mode = annealed", "paper_poisson1 = maybe", "workers = 2", "config = x"]
+    )
+    def test_bad_config_value_or_key_is_usage_error(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        cmd = "walk" if text.startswith("workers") else "ensemble"
+        code = main([cmd, "--T", "4", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table-means", "--paper-poisson1"],
+        ["table-classes", "--paper-poisson1"],
+        ["walk", "--workers", "2"],
+        ["walk", "--n", "2"],
+        ["fit", "--in", "points.csv", "--workers", "2"],
+        ["fit", "--in", "points.csv", "--paper-poisson1"],
+        ["static-sweep", "--mode", "dynamic"],
+    ],
+)
+def test_flags_a_command_never_reads_are_rejected(argv, tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_walk_writes_distribution(self, tmp_path, capsys):
@@ -217,6 +264,15 @@ class TestExitCodes:
     def test_zero_realizations_is_numerical(self, tmp_path):
         code = main(["ensemble", "--T", "4", "--n", "0", "--out", str(tmp_path / "x")])
         assert code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("dist", ["poisson:lambda=200", "binomial:n=2000,p=0.5"])
+    def test_large_parameters_do_not_overflow(self, tmp_path, dist):
+        code = main(["ensemble", "--T", "2", "--n", "2", "--dist", dist,
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_OK
+
+    def test_missing_required_setting_is_usage(self, tmp_path):
+        assert main(["ensemble", "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

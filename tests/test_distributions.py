@@ -188,6 +188,28 @@ class TestTruncation:
         pmf = truncate(spec)
         np.testing.assert_allclose(pmf.probs, raw, rtol=1e-15)
 
+    @pytest.mark.parametrize(
+        "family,params,r_max,cut",
+        [
+            ("poisson", {"lambda": 0.5}, None, 5),
+            ("poisson", {"lambda": 1.0}, None, 6),
+            ("poisson", {"lambda": 1.5}, None, 8),
+            ("poisson", {"lambda": 2.0}, None, 9),
+            ("poisson", {"lambda": 1.0}, 5, 5),
+            ("binomial", {"n": 2, "p": 0.5}, None, 2),
+            ("binomial", {"n": 9, "p": 1 / 9}, None, 9),
+            ("hypergeom", {"N": 4, "K": 2, "n": 2}, None, 2),
+            ("negbinom", {"r": 1, "p": 0.5}, None, 13),
+            ("negbinom", {"r": 9, "p": 0.1}, None, 7),
+            ("geometric", {"p": 0.5}, None, 13),
+            # long tails: the cut search must stay sub-quadratic in R
+            ("negbinom", {"r": 40, "p": 0.99}, None, 6735),
+            ("negbinom", {"r": 1, "p": 0.999}, None, 9205),
+        ],
+    )
+    def test_cut_points(self, family, params, r_max, cut):
+        assert truncate(DistributionSpec(family, params, r_max=r_max)).r_max == cut
+
     def test_tail_above_pinned_cut_is_reported(self):
         pmf = truncate(DistributionSpec("poisson", {"lambda": 2.0}, r_max=4))
         assert pmf.raw_tail_mass > 0.01

@@ -1,6 +1,8 @@
 """Tests for seeded disorder sampling and quenched averaging."""
 
 import math
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -186,6 +188,15 @@ class TestQuenchedAverage:
         ordinate = math.log(1.0 / point.mean_sigma)
         line = -0.8 * math.log(24.0)
         assert abs(ordinate - line) / abs(line) < 0.15
+
+
+def test_broken_pool_is_replaced():
+    future = ensemble._get_pool(2).submit(os._exit, 1)
+    with pytest.raises(BrokenProcessPool):
+        future.result(timeout=120)
+    serial = quenched_average(POISSON1, 6, 16, master_seed=3)
+    for _ in range(2):
+        assert quenched_average(POISSON1, 6, 16, master_seed=3, workers=2) == serial
 
 
 class TestStaticQuenchedAverage:

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jumpwalk.scaling import site_std_dev, std_dev
 from jumpwalk.walk import (
     SiteJumpMap,
     apply_coin,
@@ -286,3 +289,53 @@ class TestRunStatic:
     def test_needs_at_least_one_iteration(self):
         with pytest.raises(ValueError):
             run_static(0, SiteJumpMap.constant(1, 1), hadamard())
+
+
+# --- properties of the evolution kernel -------------------------------------
+
+_angles = st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False)
+_coins = st.tuples(_angles, _angles, _angles, _angles)
+_jump_lists = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8)
+
+
+def _unitary(angles) -> np.ndarray:
+    """The U(2) element e^(i a) Rz(b) Ry(c) Rz(d)."""
+    a, b, c, d = angles
+    cos, sin = math.cos(c / 2), math.sin(c / 2)
+    return np.exp(1j * a) * np.array(
+        [
+            [np.exp(-0.5j * (b + d)) * cos, -np.exp(-0.5j * (b - d)) * sin],
+            [np.exp(0.5j * (b - d)) * sin, np.exp(0.5j * (b + d)) * cos],
+        ]
+    )
+
+
+@settings(deadline=None)
+@given(jumps=_jump_lists, angles=_coins)
+def test_kernel_matches_oracle_for_random_jumps_and_coins(jumps, angles):
+    coin = _unitary(angles)
+    oracle = path_sum_oracle(len(jumps), jumps, coin)
+    engine = position_distribution(run_dynamic(len(jumps), jumps, coin))
+    for site in set(oracle) | set(engine):
+        assert abs(oracle.get(site, 0.0) - engine.get(site, 0.0)) < 1e-10
+
+
+@settings(deadline=None)
+@given(j=st.integers(min_value=0, max_value=4), T=st.integers(min_value=1, max_value=16),
+       angles=_coins)
+def test_constant_static_map_is_the_dynamic_walk_bit_for_bit(j, T, angles):
+    coin = _unitary(angles)
+    static_state, _ = run_static(T, SiteJumpMap.constant(max(1, T * j), j), coin)
+    assert np.array_equal(static_state.amplitudes, run_dynamic(T, [j] * T, coin).amplitudes)
+
+
+@settings(deadline=None)
+@given(jumps=_jump_lists, angles=_coins, seed=st.integers(min_value=0, max_value=2**32))
+def test_array_sigma_is_the_pmf_sigma_bit_for_bit(jumps, angles, seed):
+    coin = _unitary(angles)
+    T = len(jumps)
+    site_jumps = SiteJumpMap(4 * T, np.random.default_rng(seed).integers(0, 4, 8 * T + 1))
+    states = [run_dynamic(T, jumps, coin), run_static(T, site_jumps, coin)[0]]
+    for state in states:
+        sigma = site_std_dev(state.sites(), state.probabilities())
+        assert sigma == std_dev(position_distribution(state))
