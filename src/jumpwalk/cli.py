@@ -18,7 +18,9 @@ resolve settings, evaluate and fit each law, print, write.
 
 A setting comes from its flag, else from the ``--config`` file (flat
 ``key = value`` lines named like the subcommand's flags, e.g.
-``paper_poisson1 = true``), else from the row's default.
+``paper_poisson1 = true``; a ``#`` that starts a line or follows
+whitespace starts a comment, so ``out = run#3`` keeps its ``#``), else
+from the row's default.
 
 Every run is a pure function of its flags, config file, and master seed:
 re-running writes byte-identical CSVs.  Exit codes: 0 success, 2 usage
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -146,10 +149,15 @@ def parse_grid(text: str) -> list[int]:
 
 
 def read_config(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` file; '#' starts a comment."""
+    """Read a flat ``key = value`` file.
+
+    A '#' at the start of a line or after whitespace starts a comment that
+    runs to the end of the line; a '#' inside a value, as in
+    ``out = run#3``, is part of the value.
+    """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         key, eq, value = line.partition("=")
@@ -267,9 +275,13 @@ def _walk(args, law: _Law, grid: None) -> None:
 
 
 def _read(args, law: _Law, grid: None) -> None:
-    """The points, mode and law recorded in an ensemble-point CSV."""
+    """The points, mode, law and master seed recorded in an ensemble-point CSV."""
     law.points, law.mode, law.dist = read_points_csv(args.input)
+    seeds = {p.master_seed for p in law.points}
+    if len(seeds) != 1:
+        raise SpecError(f"{args.input} mixes master seeds {sorted(seeds)}")
     args.dist = law.dist
+    args.seed = seeds.pop()
 
 
 # --- stdout lines, one per law ---------------------------------------------
@@ -437,7 +449,7 @@ COMMANDS = {
     ),
     "fit": Command(
         "fit an existing ensemble-point CSV",
-        ("input", *_COMMON),
+        ("input", "out", "config"),
         _read, _refit_line, _FIT, fit=True,
     ),
     "table-means": Command(

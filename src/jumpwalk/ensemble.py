@@ -2,9 +2,11 @@
 
 Every realization gets its own seed derived statelessly from
 (master_seed, index) by a SplitMix64 round, and its own PCG64 uniform
-stream, so any number of workers produces the same draws.  Dispersions
-are reduced with math.fsum, making the quenched mean bit-identical
-regardless of evaluation order.
+stream, so any number of workers produces the same draws.  Realizations
+are evolved in blocks, one (B, 2, W) table per block sized to
+``_BLOCK_BYTES``, and every row evolves bit for bit as it would alone.
+Dispersions are reduced with math.fsum, making the quenched mean
+bit-identical regardless of evaluation order, block size or worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, TruncatedJumpPmf, sample_many, truncate
 from .scaling import site_std_dev
-from .walk import SiteJumpMap, hadamard, run_dynamic, run_static
+from .walk import RowError, SiteJumpMap, _evolve, hadamard, initial_block, site_probabilities
 
 __all__ = [
     "Realization",
@@ -36,6 +38,12 @@ __all__ = [
 
 # Recorded in output metadata so every CSV names the exact generators.
 RNG_IDENTITY = "splitmix64+pcg64"
+
+# Bytes of one (B, 2, W) complex128 amplitude table: a block holds as many
+# realizations as fit.  A block run keeps about three and a half tables'
+# worth alive (two amplitude buffers, the static target map and bincount
+# temporaries), so this bounds the memory blocks add to a run.
+_BLOCK_BYTES = 256 * 1024
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -77,15 +85,40 @@ class Realization:
         return "static" if isinstance(self.jumps, SiteJumpMap) else "dynamic"
 
 
+def _uniforms(seeds: list[int], count: int) -> np.ndarray:
+    """(len(seeds), count) uniforms: row r opens the PCG64 stream of seeds[r]."""
+    us = np.empty((len(seeds), count))
+    for row, seed in zip(us, seeds):
+        np.random.Generator(np.random.PCG64(seed)).random(out=row)
+    return us
+
+
+def _step_jumps(pmf: TruncatedJumpPmf, T: int, seeds: list[int]) -> np.ndarray:
+    """(len(seeds), T) i.i.d. jump lengths, one row per seed."""
+    return sample_many(pmf, _uniforms(seeds, T))
+
+
+def _site_jumps(pmf: TruncatedJumpPmf, extent: int, seeds: list[int]) -> np.ndarray:
+    """(len(seeds), 2*extent+1) jumps per site in [-extent, extent], one row per seed.
+
+    Each row takes its stream center-out; see sample_static_realization.
+    """
+    draws = sample_many(pmf, _uniforms(seeds, 2 * extent + 1))
+    jumps = np.empty_like(draws)
+    offsets = np.arange(1, extent + 1)
+    jumps[:, extent] = draws[:, 0]
+    jumps[:, extent + offsets] = draws[:, 2 * offsets - 1]
+    jumps[:, extent - offsets] = draws[:, 2 * offsets]
+    return jumps
+
+
 def sample_dynamic_realization(
     pmf: TruncatedJumpPmf, T: int, seed: int, index: int = 0
 ) -> Realization:
     """Draw T i.i.d. jump lengths from the truncated law."""
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    jumps = sample_many(pmf, rng.random(T))
-    return Realization(jumps=jumps, seed=seed, index=index, t_steps=T)
+    return Realization(jumps=_step_jumps(pmf, T, [seed])[0], seed=seed, index=index, t_steps=T)
 
 
 def sample_static_realization(
@@ -102,36 +135,41 @@ def sample_static_realization(
     """
     if extent < 1:
         raise ValueError(f"need extent >= 1, got {extent}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = sample_many(pmf, rng.random(2 * extent + 1))
-    jumps = np.empty(2 * extent + 1, dtype=np.int64)
-    offsets = np.arange(1, extent + 1)
-    jumps[extent] = draws[0]
-    jumps[extent + offsets] = draws[2 * offsets - 1]
-    jumps[extent - offsets] = draws[2 * offsets]
-    return Realization(
-        jumps=SiteJumpMap(extent, jumps), seed=seed, index=index, t_steps=t_steps
-    )
+    jumps = SiteJumpMap(extent, _site_jumps(pmf, extent, [seed])[0])
+    return Realization(jumps=jumps, seed=seed, index=index, t_steps=t_steps)
 
 
 def sigma_of_realization(realization: Realization, coin: np.ndarray) -> float:
     """Dispersion of the walker after running one disorder realization."""
-    return _run_realization(realization, coin)[0]
+    static = isinstance(realization.jumps, SiteJumpMap)
+    jumps = realization.jumps.jumps if static else np.asarray(realization.jumps)
+    return _evolve_rows(jumps[None], realization.t_steps, static, coin)[0][0]
 
 
-def _run_realization(realization: Realization, coin: np.ndarray) -> tuple[float, float]:
-    """Run a realization; return (sigma, max |norm - 1| over iterations).
+def _evolve_rows(
+    jumps: np.ndarray, T: int, static: bool, coin: np.ndarray
+) -> tuple[list[float], list[float]]:
+    """Evolve a block; return each row's sigma and max |norm - 1| over iterations.
 
-    Dynamic runs check their norm at every iteration instead of logging
-    it, so their deviation reads 0.
+    ``jumps`` holds one row per realization: T per-iteration jumps, or
+    one jump per site when ``static``.  A dynamic block is as wide as its
+    longest reach; rows that reach less hold zeros at the edges, which
+    change no fsum, and under a real coin such as the Hadamard the coin
+    product rounds every column alike wherever it sits, so each row's
+    sigma is the one it gets alone.  Dynamic runs check their norm at
+    every iteration instead of logging it, so their deviation reads 0.
     """
-    if isinstance(realization.jumps, SiteJumpMap):
-        state, norm_log = run_static(realization.t_steps, realization.jumps, coin)
-        norm_dev = max(abs(x - 1.0) for x in norm_log)
+    rows = len(jumps)
+    if static:
+        extent = (jumps.shape[1] - 1) // 2
+        a, norms = _evolve(initial_block(rows, extent), coin, T, site_jumps=jumps)
+        devs = np.abs(norms - 1.0).max(axis=1).tolist()
     else:
-        state = run_dynamic(realization.t_steps, realization.jumps, coin)
-        norm_dev = 0.0
-    return site_std_dev(state.sites(), state.probabilities()), norm_dev
+        extent = max(1, int(jumps.sum(axis=1).max()))
+        a, _ = _evolve(initial_block(rows, extent), coin, T, step_jumps=jumps)
+        devs = [0.0] * rows
+    sites = np.arange(-extent, extent + 1)
+    return [site_std_dev(sites, p) for p in site_probabilities(a)], devs
 
 
 @dataclass
@@ -151,20 +189,35 @@ class EnsemblePoint:
             raise ValueError("dispersion statistics cannot be negative")
 
 
-def _dynamic_task(index_seed: tuple[int, int], pmf, T) -> tuple[float, float]:
-    index, seed = index_seed
-    return _run_realization(sample_dynamic_realization(pmf, T, seed, index), hadamard())
+def _shard(
+    indices: range, static: bool, pmf: TruncatedJumpPmf, T: int, master_seed: int
+) -> tuple[list[float], list[float]]:
+    """Sigmas and norm deviations of realizations ``indices``, in index order.
 
-
-def _static_task(index_seed: tuple[int, int], pmf, T) -> tuple[float, float]:
-    index, seed = index_seed
+    The shard runs in blocks of consecutive realizations, each as large as
+    ``_BLOCK_BYTES`` allows at the widest table T and the law can need.
+    """
     extent = max(1, T * pmf.r_max)
-    realization = sample_static_realization(pmf, extent, seed, T, index)
-    return _run_realization(realization, hadamard())
+    size = max(1, _BLOCK_BYTES // (2 * (2 * extent + 1) * 16))
+    sigmas: list[float] = []
+    devs: list[float] = []
+    for start in range(indices.start, indices.stop, size):
+        block = range(start, min(start + size, indices.stop))
+        seeds = [derive_seed(master_seed, i) for i in block]
+        jumps = _site_jumps(pmf, extent, seeds) if static else _step_jumps(pmf, T, seeds)
+        try:
+            block_sigmas, block_devs = _evolve_rows(jumps, T, static, hadamard())
+        except RowError as exc:
+            raise ValueError(
+                f"realization {block[exc.row]} (seed {seeds[exc.row]}): {exc}"
+            ) from None
+        sigmas += block_sigmas
+        devs += block_devs
+    return sigmas, devs
 
 
-# The ensemble task per mode; its keys are the accepted mode strings.
-_TASKS = {"dynamic": _dynamic_task, "static": _static_task}
+# Whether each accepted mode string runs static disorder.
+_MODES = {"dynamic": False, "static": True}
 
 
 _POOL: ProcessPoolExecutor | None = None
@@ -196,17 +249,19 @@ def _shutdown_pool():
 atexit.register(_shutdown_pool)
 
 
-def _collect(task, pmf, T, n, master_seed, workers) -> tuple[list[float], list[float]]:
-    task = partial(task, pmf=pmf, T=T)
-    pairs = [(i, derive_seed(master_seed, i)) for i in range(n)]
+def _collect(static, pmf, T, n, master_seed, workers) -> tuple[list[float], list[float]]:
+    """Sigmas and norm deviations of realizations 0..n-1, in index order.
+
+    Each worker gets one contiguous shard: realizations cost alike, and
+    larger shards make larger blocks.
+    """
+    task = partial(_shard, static=static, pmf=pmf, T=T, master_seed=master_seed)
     if workers <= 1:
-        results = [task(p) for p in pairs]
-    else:
-        chunk = max(1, n // (workers * 8))
-        results = list(_get_pool(workers).map(task, pairs, chunksize=chunk))
-    sigmas = [r[0] for r in results]
-    norm_devs = [r[1] for r in results]
-    return sigmas, norm_devs
+        return task(range(n))
+    count = min(n, workers)
+    shards = [range(n * k // count, n * (k + 1) // count) for k in range(count)]
+    results = list(_get_pool(workers).map(task, shards))
+    return [s for r in results for s in r[0]], [d for r in results for d in r[1]]
 
 
 def _summarize(sigmas: list[float], T: int, master_seed: int) -> EnsemblePoint:
@@ -235,12 +290,12 @@ def quenched_average(
     distributions.  Output is fully determined by the arguments and is
     identical for any worker count.
     """
-    if mode not in _TASKS:
+    if mode not in _MODES:
         raise ValueError(f"mode must be 'dynamic' or 'static', got {mode!r}")
     if n < 1:
         raise ValueError(f"need at least one realization, got n={n}")
     pmf = truncate(spec)
-    sigmas, _ = _collect(_TASKS[mode], pmf, T, n, master_seed, workers)
+    sigmas, _ = _collect(_MODES[mode], pmf, T, n, master_seed, workers)
     return _summarize(sigmas, T, master_seed)
 
 
@@ -261,7 +316,7 @@ def static_quenched_average(
     if n < 1:
         raise ValueError(f"need at least one realization, got n={n}")
     pmf = truncate(spec)
-    sigmas, norm_devs = _collect(_static_task, pmf, T, n, master_seed, workers)
+    sigmas, norm_devs = _collect(True, pmf, T, n, master_seed, workers)
     point = _summarize(sigmas, T, master_seed)
     mean_dev = math.fsum(norm_devs) / len(norm_devs)
     max_dev = max(norm_devs)

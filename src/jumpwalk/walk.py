@@ -5,7 +5,9 @@ The joint coin-position state is a dense complex table of shape
 at lattice site i.  One iteration applies the coin rotation to every
 site's coin doublet and then displaces the coin-0 component by +j and
 the coin-1 component by -j.  Every evolution, from one step to a full
-static run, goes through the single kernel ``_evolve``.  A brute-force
+static run, goes through the single kernel ``_evolve``, which advances a
+block of walkers at once as a ``(B, 2, W)`` table, one row per walker;
+the single-walker functions here run it with B = 1.  A brute-force
 path-sum oracle provides an independent check of the evolved position
 distribution.
 """
@@ -21,14 +23,17 @@ import numpy as np
 __all__ = [
     "WalkState",
     "SiteJumpMap",
+    "RowError",
     "hadamard",
     "is_unitary",
+    "initial_block",
     "initial_state",
     "apply_coin",
     "apply_shift",
     "step",
     "run_dynamic",
     "run_static",
+    "site_probabilities",
     "position_distribution",
     "path_sum_oracle",
 ]
@@ -82,20 +87,29 @@ class WalkState:
 
     def probabilities(self) -> np.ndarray:
         """Site probabilities |amp(0,i)|^2 + |amp(1,i)|^2 per storage column."""
-        amps = self.amplitudes
-        return (amps.real**2 + amps.imag**2).sum(axis=0)
+        return site_probabilities(self.amplitudes)
 
     def copy(self) -> "WalkState":
         return WalkState(self.amplitudes.copy(), self.t, self.max_extent)
 
 
-def initial_state(max_extent: int) -> WalkState:
-    """Walker at the origin with coin state |0>, zero iterations done."""
+def site_probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    """|amp(0,i)|^2 + |amp(1,i)|^2 per storage column of a (..., 2, W) table."""
+    return (amplitudes.real**2 + amplitudes.imag**2).sum(axis=-2)
+
+
+def initial_block(rows: int, max_extent: int) -> np.ndarray:
+    """A (rows, 2, 2*max_extent+1) table of walkers at the origin with coin |0>."""
     if max_extent < 1:
         raise ValueError(f"max_extent must be >= 1, got {max_extent}")
-    amps = np.zeros((2, 2 * max_extent + 1), dtype=np.complex128)
-    amps[0, max_extent] = 1.0
-    return WalkState(amplitudes=amps, t=0, max_extent=max_extent)
+    amps = np.zeros((rows, 2, 2 * max_extent + 1), dtype=np.complex128)
+    amps[:, 0, max_extent] = 1.0
+    return amps
+
+
+def initial_state(max_extent: int) -> WalkState:
+    """Walker at the origin with coin state |0>, zero iterations done."""
+    return WalkState(amplitudes=initial_block(1, max_extent)[0], t=0, max_extent=max_extent)
 
 
 def apply_coin(state: WalkState, coin: np.ndarray) -> WalkState:
@@ -114,8 +128,8 @@ def step(state: WalkState, coin: np.ndarray, j: int) -> WalkState:
 
 
 def _one_iteration(state: WalkState, coin: np.ndarray, j: int, t: int) -> WalkState:
-    amplitudes, _ = _evolve(state.amplitudes.copy(), coin, [j], 1)
-    return WalkState(amplitudes, t, state.max_extent)
+    amplitudes, _ = _evolve(state.amplitudes[None].copy(), coin, 1, step_jumps=[[j]])
+    return WalkState(amplitudes[0], t, state.max_extent)
 
 
 def run_dynamic(T: int, jumps: Sequence[int], coin: np.ndarray) -> WalkState:
@@ -127,7 +141,7 @@ def run_dynamic(T: int, jumps: Sequence[int], coin: np.ndarray) -> WalkState:
     if T < 1 or len(jumps) != T:
         raise ValueError(f"need T >= 1 and exactly T={T} jump lengths, got {len(jumps)}")
     ext = max(1, sum(int(j) for j in jumps))
-    return WalkState(_evolve(initial_state(ext).amplitudes, coin, jumps, T)[0], T, ext)
+    return WalkState(_evolve(initial_block(1, ext), coin, T, step_jumps=[jumps])[0][0], T, ext)
 
 
 @dataclass
@@ -178,93 +192,140 @@ def run_static(
     if T < 1:
         raise ValueError(f"need at least one iteration, got {T}")
     ext = site_jumps.extent
-    a, norm_log = _evolve(initial_state(ext).amplitudes, coin, site_jumps, T)
-    return WalkState(amplitudes=a, t=T, max_extent=ext), norm_log
+    a, norms = _evolve(initial_block(1, ext), coin, T, site_jumps=site_jumps.jumps[None])
+    return WalkState(amplitudes=a[0], t=T, max_extent=ext), norms[0].tolist()
+
+
+class RowError(ValueError):
+    """An evolution check failed in one row of a block; ``row`` is its index."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
 def _evolve(
-    a: np.ndarray, coin: np.ndarray, shifts: Sequence[int] | SiteJumpMap, T: int
-) -> tuple[np.ndarray, list[float]]:
-    """The one evolution kernel: T coin-then-shift iterations on table ``a``.
+    a: np.ndarray,
+    coin: np.ndarray,
+    T: int,
+    *,
+    step_jumps: np.ndarray | Sequence[Sequence[int]] | None = None,
+    site_jumps: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one evolution kernel: T coin-then-shift iterations on a block.
 
-    ``a`` is consumed (used as a work buffer).  The shift follows the type
-    of ``shifts``: per-iteration jump lengths shift each coin row by
-    slicing, which is unitary, so the squared norm must stay within
-    NORM_TOL of 1 and nothing is logged; a SiteJumpMap scatters every site
-    to its own target, which need not be unitary, so the norm of every
-    iteration is logged and the state renormalized when it drifts beyond
-    STATIC_RENORM_TOL.  Returns the final table and the logged norms.
+    ``a`` is a (B, 2, W) table with one walker per row; it is consumed
+    (used as a work buffer).  Exactly one jump argument is given.
+    ``step_jumps`` (B, T) holds each row's jump length per iteration: the
+    rows shift by slicing, which is unitary, so every row's squared norm
+    must stay within NORM_TOL of 1 and nothing is logged.  ``site_jumps``
+    (B, W) holds each row's fixed jump per storage column: every site
+    scatters to its own target, which need not be unitary, so each row's
+    norm is logged at every iteration and the row renormalized when it
+    drifts beyond STATIC_RENORM_TOL.  Those norms are taken row by row
+    with ``np.vdot`` over the row's contiguous (2, W) slice, the reduction
+    a lone walker gets, so a row evolves bit for bit as it would alone in
+    a table of the same width; step-jump norms are only checked, so one
+    vectorized sum serves.  Returns the final table and the (B, T) norm
+    log (None for step jumps).  A failed check raises RowError naming
+    the row.
     """
     coin = np.asarray(coin, dtype=np.complex128)
     if not is_unitary(coin):
         raise ValueError("coin operator is not unitary within 1e-12")
-    static = isinstance(shifts, SiteJumpMap)
-    shift = _site_scatter(shifts, a.shape[1]) if static else _uniform_shift(shifts, a.shape[1])
+    static = site_jumps is not None
+    shift = _site_scatter(site_jumps, a.shape) if static else _step_shift(step_jumps, a.shape, T)
+    norms = np.empty((a.shape[0], T)) if static else None
     b = np.empty_like(a)
-    norm_log: list[float] = []
     for t in range(1, T + 1):
         np.matmul(coin, a, out=b)
         a, b = shift(b, a, t)
-        norm2 = np.vdot(a, a).real
         if static:
-            norm = float(np.sqrt(norm2))
-            norm_log.append(norm)
-            if abs(norm - 1.0) > STATIC_RENORM_TOL:
-                if norm == 0.0:
-                    raise ValueError(f"state vanished at iteration {t}")
-                a /= norm
-        elif abs(norm2 - 1.0) > NORM_TOL:
-            raise ValueError(f"norm drifted to {norm2} at iteration {t}")
-    return a, norm_log
+            norm = norms[:, t - 1] = np.sqrt([np.vdot(row, row).real for row in a])
+            vanished = np.flatnonzero(norm == 0.0)
+            if vanished.size:
+                raise RowError(int(vanished[0]), f"state vanished at iteration {t}")
+            drift = np.abs(norm - 1.0) > STATIC_RENORM_TOL
+            if drift.any():
+                # Complex division by a real norm multiplies by its reciprocal;
+                # scaling the float view does the same, all rows at once.
+                a.view(np.float64)[...] *= np.where(drift, 1.0 / norm, 1.0)[:, None, None]
+        else:
+            parts = a.reshape(len(a), -1).view(np.float64)
+            norm2 = np.einsum("ij,ij->i", parts, parts)
+            drifted = np.flatnonzero(np.abs(norm2 - 1.0) > NORM_TOL)
+            if drifted.size:
+                r = int(drifted[0])
+                raise RowError(r, f"norm drifted to {norm2[r]} at iteration {t}")
+    return a, norms
 
 
-def _uniform_shift(jumps: Sequence[int], width: int):
-    """Shift for per-iteration jump lengths: shift(src, dst, t) -> (state, spare)."""
-    steps = [int(j) for j in jumps]
-    if any(j != s or s < 0 for j, s in zip(jumps, steps)):
-        raise ValueError(f"jump lengths must be non-negative integers, got {list(jumps)}")
+def _step_shift(step_jumps, shape: tuple[int, int, int], T: int):
+    """Shift for per-iteration jump lengths: shift(src, dst, t) -> (state, spare).
+
+    Shifts ``src`` in place, one slice per distinct jump length of the
+    iteration, so the rows that share a length move together.
+    """
+    rows, _, width = shape
+    given = np.asarray(step_jumps)
+    steps = given.astype(np.int64)
+    if steps.shape != (rows, T) or (steps != given).any() or (steps < 0).any():
+        raise ValueError(
+            f"need {T} non-negative integer jump lengths per walker, got {given.tolist()}"
+        )
 
     def shift(src, dst, t):
-        j = steps[t - 1]
-        if j == 0:
-            return src, dst
-        if j >= width or src[0, width - j :].any() or src[1, :j].any():
-            raise ValueError(
-                f"shift by {j} at iteration {t} would push amplitude beyond the "
-                f"allocated extent {(width - 1) // 2} (allocation bug)"
-            )
-        dst[0, j:] = src[0, : width - j]
-        dst[0, :j] = 0.0
-        dst[1, : width - j] = src[1, j:]
-        dst[1, width - j :] = 0.0
-        return dst, src
+        column = steps[:, t - 1]
+        lengths = np.flatnonzero(np.bincount(column))
+        for j in lengths[lengths > 0].tolist():
+            moved = np.flatnonzero(column == j)
+            sel = slice(None) if moved.size == rows else moved
+            spill = moved if j >= width else moved[
+                src[sel, 0, width - j :].any(axis=-1) | src[sel, 1, :j].any(axis=-1)
+            ]
+            if spill.size:
+                raise RowError(
+                    int(spill[0]),
+                    f"shift by {j} at iteration {t} would push amplitude beyond the "
+                    f"allocated extent {(width - 1) // 2} (allocation bug)",
+                )
+            src[sel, 0, j:] = src[sel, 0, : width - j]
+            src[sel, 0, :j] = 0.0
+            src[sel, 1, : width - j] = src[sel, 1, j:]
+            src[sel, 1, width - j :] = 0.0
+        return src, dst
 
     return shift
 
 
-def _site_scatter(site_jumps: SiteJumpMap, width: int):
-    """Shift for a per-site map: shift(src, dst, t) -> (state, spare).
+def _site_scatter(site_jumps: np.ndarray, shape: tuple[int, int, int]):
+    """Shift for per-site maps: shift(src, dst, t) -> (state, spare).
 
-    Coin-0 amplitude at column i goes to i + j_i and coin-1 amplitude to
-    i - j_i; colliding targets add up (bincount), so the norm can change.
+    Row r's coin-0 amplitude at column i goes to i + j_ri and its coin-1
+    amplitude to i - j_ri.  One flat bincount over row*2W + coin*W + target
+    adds colliding targets up in source order, so the norm can change.  A
+    source whose target falls outside the table must hold no amplitude;
+    it is sent to its own bin, where its zero changes nothing.
     """
+    rows, _, width = shape
     idx = np.arange(width)
-    moves = []
-    for target in (idx + site_jumps.jumps, idx - site_jumps.jumps):
-        inside = (target >= 0) & (target < width)
-        moves.append((idx[inside], target[inside], idx[~inside]))
+    target = np.stack((idx + site_jumps, idx - site_jumps), axis=1)
+    spill = np.flatnonzero((target < 0) | (target >= width))
+    target += np.arange(0, target.size, width).reshape(rows, 2, 1)
+    target = target.reshape(-1)
+    target[spill] = spill
 
     def shift(src, dst, t):
-        if any(src[c, spill].any() for c, (_, _, spill) in enumerate(moves)):
-            raise ValueError(
+        flat_src, flat_dst = src.reshape(-1), dst.reshape(-1)
+        hit = np.flatnonzero(flat_src[spill])
+        if hit.size:
+            raise RowError(
+                int(spill[hit[0]]) // (2 * width),
                 f"site-dependent shift at iteration {t} exceeds extent "
-                f"{site_jumps.extent} (jump map too small for this many iterations)"
+                f"{(width - 1) // 2} (jump map too small for this many iterations)",
             )
-        for c, (source, target, _) in enumerate(moves):
-            w = src[c, source]
-            dst[c] = np.bincount(target, weights=w.real, minlength=width) + 1j * np.bincount(
-                target, weights=w.imag, minlength=width
-            )
+        flat_dst.real = np.bincount(target, weights=flat_src.real, minlength=target.size)
+        flat_dst.imag = np.bincount(target, weights=flat_src.imag, minlength=target.size)
         return dst, src
 
     return shift

@@ -89,6 +89,14 @@ class TestConfigFile:
         cfg.write_text("n = 12\nseed=7   # master seed\n\n# comment\nout = results/run\n")
         assert read_config(str(cfg)) == {"n": "12", "seed": "7", "out": "results/run"}
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out = run#3\nn = 2  # realizations\n# seed = 9\n")
+        assert read_config(str(cfg)) == {"out": "run#3", "n": "2"}
+        monkeypatch.chdir(tmp_path)
+        assert main(["ensemble", "--T", "4", "--config", str(cfg)]) == EXIT_OK
+        assert (tmp_path / "run#3_points.csv").exists()
+
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 3\nseed = 7\n")
@@ -146,6 +154,7 @@ class TestConfigFile:
         ["walk", "--n", "2"],
         ["fit", "--in", "points.csv", "--workers", "2"],
         ["fit", "--in", "points.csv", "--paper-poisson1"],
+        ["fit", "--in", "points.csv", "--seed", "5"],
         ["static-sweep", "--mode", "dynamic"],
     ],
 )
@@ -197,6 +206,16 @@ class TestCommands:
         fit_row = (tmp_path / "s_fit.csv").read_text().splitlines()[-1]
         refit_row = (tmp_path / "refit_fit.csv").read_text().splitlines()[-1]
         assert fit_row == refit_row
+
+    def test_fit_records_the_master_seed_of_its_points(self, tmp_path):
+        out = tmp_path / "s"
+        main(["sweep", "--dist", "constant:j=1", "--grid", "4:16:x2", "--n", "1",
+              "--seed", "4024", "--out", str(out)])
+        refit = tmp_path / "refit"
+        assert main(["fit", "--in", f"{out}_points.csv", "--out", str(refit)]) == EXIT_OK
+        for kind in ("fit", "loglog"):
+            meta = (tmp_path / f"refit_{kind}.csv").read_text().splitlines()[0]
+            assert "seed=4024" in meta.split()
 
     def test_paper_poisson1_preset_pins_cut(self, tmp_path):
         out = tmp_path / "p"
@@ -278,6 +297,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    def test_fit_of_mixed_master_seeds_is_usage(self, tmp_path):
+        out = tmp_path / "s"
+        main(["sweep", "--dist", "constant:j=1", "--grid", "4:16:x2", "--n", "1",
+              "--out", str(out)])
+        points = tmp_path / "s_points.csv"
+        lines = points.read_text().splitlines()
+        fields = lines[-1].split(",")
+        fields[4] = "7"  # master_seed of the last point
+        points.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
+        code = main(["fit", "--in", str(points), "--out", str(tmp_path / "refit")])
+        assert code == EXIT_USAGE
 
     def test_missing_input_file_is_numerical(self, tmp_path):
         code = main(["fit", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x")])

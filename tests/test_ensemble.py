@@ -1,11 +1,14 @@
 """Tests for seeded disorder sampling and quenched averaging."""
 
+import itertools
 import math
 import os
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jumpwalk.ensemble as ensemble
 from jumpwalk.distributions import DistributionSpec, sample_many, truncate
@@ -17,8 +20,8 @@ from jumpwalk.ensemble import (
     sigma_of_realization,
     static_quenched_average,
 )
-from jumpwalk.scaling import std_dev
-from jumpwalk.walk import hadamard, position_distribution, run_dynamic
+from jumpwalk.scaling import site_std_dev, std_dev
+from jumpwalk.walk import hadamard, position_distribution, run_dynamic, run_static
 
 POISSON1 = DistributionSpec("poisson", {"lambda": 1.0}, r_max=5)
 CONSTANT1 = DistributionSpec("constant", {"j": 1})
@@ -214,3 +217,77 @@ class TestStaticQuenchedAverage:
         expected = std_dev(position_distribution(run_dynamic(8, [1] * 8, hadamard())))
         assert point.mean_sigma == expected
         assert max_dev < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static"])
+def test_block_size_and_worker_count_do_not_change_bits(monkeypatch, mode):
+    def point(workers=1):
+        if mode == "static":
+            return static_quenched_average(POISSON1, 6, 20, master_seed=9, workers=workers)
+        return quenched_average(POISSON1, 8, 40, master_seed=9, workers=workers)
+
+    # The default budget holds every realization of these points in one block.
+    default = point()
+    assert point(workers=2) == default
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 1)  # one realization per block
+    assert point() == default
+
+
+def test_static_spill_names_the_realization_and_seed(monkeypatch):
+    draw = ensemble._site_jumps
+
+    def oversized(pmf, extent, seeds):
+        jumps = draw(pmf, extent, seeds)
+        jumps[1] = 2 * extent + 1  # realization 1 jumps straight off its table
+        return jumps
+
+    monkeypatch.setattr(ensemble, "_site_jumps", oversized)
+    # n=4 at T=3 is one block of four realizations; the second one spills.
+    message = rf"realization 1 \(seed {derive_seed(5, 1)}\): site-dependent shift at iteration 1"
+    with pytest.raises(ValueError, match=message):
+        static_quenched_average(POISSON1, 3, 4, master_seed=5)
+
+
+_LAWS = [
+    POISSON1,
+    CONSTANT1,
+    DistributionSpec("poisson", {"lambda": 2.0}),
+    DistributionSpec("binomial", {"n": 2, "p": 0.5}),
+    DistributionSpec("hypergeom", {"N": 4, "K": 2, "n": 2}),
+    DistributionSpec("negbinom", {"r": 9, "p": 0.1}),
+    DistributionSpec("geometric", {"p": 0.5}),
+]
+
+
+@settings(deadline=None)
+@given(
+    law=st.sampled_from(_LAWS),
+    T=st.integers(min_value=1, max_value=10),
+    master=st.integers(min_value=0, max_value=2**64 - 1),
+    sizes=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
+    static=st.booleans(),
+)
+def test_block_rows_are_lone_realizations_bit_for_bit(law, T, master, sizes, static):
+    pmf = truncate(law)
+    extent = max(1, T * pmf.r_max)
+    seeds = [derive_seed(master, i) for i in range(sum(sizes))]
+    sigmas, devs = [], []
+    for end, size in zip(itertools.accumulate(sizes), sizes):
+        block = seeds[end - size : end]
+        if static:
+            jumps = ensemble._site_jumps(pmf, extent, block)
+        else:
+            jumps = ensemble._step_jumps(pmf, T, block)
+        block_sigmas, block_devs = ensemble._evolve_rows(jumps, T, static, hadamard())
+        sigmas += block_sigmas
+        devs += block_devs
+    for seed, sigma, dev in zip(seeds, sigmas, devs):
+        if static:
+            realization = sample_static_realization(pmf, extent, seed, T)
+            state, norm_log = run_static(T, realization.jumps, hadamard())
+            alone_dev = max(abs(x - 1.0) for x in norm_log)
+        else:
+            state = run_dynamic(T, sample_dynamic_realization(pmf, T, seed).jumps, hadamard())
+            alone_dev = 0.0
+        assert sigma == site_std_dev(state.sites(), state.probabilities())
+        assert dev == alone_dev

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from jumpwalk.scaling import site_std_dev, std_dev
 from jumpwalk.walk import (
+    RowError,
     SiteJumpMap,
+    _evolve,
     apply_coin,
     apply_shift,
     hadamard,
+    initial_block,
     initial_state,
     is_unitary,
     path_sum_oracle,
@@ -339,3 +342,48 @@ def test_array_sigma_is_the_pmf_sigma_bit_for_bit(jumps, angles, seed):
     for state in states:
         sigma = site_std_dev(state.sites(), state.probabilities())
         assert sigma == std_dev(position_distribution(state))
+
+
+@settings(deadline=None)
+@given(jumps=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=16),
+       angles=_coins)
+def test_unitary_coins_keep_norm_support_and_parity(jumps, angles):
+    coin = _unitary(angles)
+    reach = sum(jumps)
+    state = initial_state(reach + 3)  # room beyond the reach, so the support check bites
+    for j in jumps:
+        state = step(state, coin, j)
+        assert abs(state.norm_squared() - 1.0) <= 1e-12
+    occupied = state.sites()[state.probabilities() > 0.0]
+    assert (np.abs(occupied) <= reach).all()
+    assert ((occupied - reach) % 2 == 0).all()
+
+
+@settings(deadline=None)
+@given(rows=st.integers(min_value=1, max_value=4), T=st.integers(min_value=1, max_value=8),
+       angles=_coins, seed=st.integers(min_value=0, max_value=2**32), static=st.booleans())
+def test_block_rows_evolve_bit_for_bit_as_alone(rows, T, angles, seed, static):
+    coin = _unitary(angles)
+    extent = 3 * T
+    rng = np.random.default_rng(seed)
+    jumps = rng.integers(0, 4, size=(rows, 2 * extent + 1 if static else T))
+    key = "site_jumps" if static else "step_jumps"
+    block, norms = _evolve(initial_block(rows, extent), coin, T, **{key: jumps})
+    for r in range(rows):
+        alone, alone_norms = _evolve(initial_block(1, extent), coin, T, **{key: jumps[r : r + 1]})
+        assert np.array_equal(block[r], alone[0])
+        if static:
+            assert np.array_equal(norms[r], alone_norms[0])
+
+
+def test_a_failed_check_names_its_row():
+    site_jumps = np.ones((3, 5), dtype=np.int64)
+    site_jumps[2] = 9  # row 2 jumps off its table at the first iteration
+    with pytest.raises(RowError, match="exceeds extent 2") as excinfo:
+        _evolve(initial_block(3, 2), hadamard(), 1, site_jumps=site_jumps)
+    assert excinfo.value.row == 2
+    step_jumps = np.ones((3, 3), dtype=np.int64)
+    step_jumps[1, 2] = 2  # row 1 needs extent 4 but has 3
+    with pytest.raises(RowError, match="allocated extent 3") as excinfo:
+        _evolve(initial_block(3, 3), hadamard(), 3, step_jumps=step_jumps)
+    assert excinfo.value.row == 1
