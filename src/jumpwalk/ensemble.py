@@ -2,11 +2,17 @@
 
 Every realization gets its own seed derived statelessly from
 (master_seed, index) by a SplitMix64 round, and its own PCG64 uniform
-stream, so any number of workers produces the same draws.  Realizations
-are evolved in blocks, one (B, 2, W) table per block sized to
-``_BLOCK_BYTES``, and every row evolves bit for bit as it would alone.
-Dispersions are reduced with math.fsum, making the quenched mean
-bit-identical regardless of evaluation order, block size or worker count.
+stream, so any number of workers produces the same draws.  A block's
+streams are seeded together: one vectorized SeedSequence pass gives
+every row the state ``np.random.PCG64(seed)`` starts from, and one
+reused generator draws each row from it.  Realizations are evolved in
+blocks, one (B, 2, W) table per block within ``_BLOCK_BYTES``, and every
+row evolves bit for bit as it would alone.  Static tables are as wide
+as the site map; dynamic tables only as wide as the block's longest
+reach, so dynamic blocks are cut from the sampled jumps.  Each block's
+moments are formed at once and every row's dispersion is reduced with
+math.fsum, making the quenched mean bit-identical regardless of
+evaluation order, block size or worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .distributions import DistributionSpec, TruncatedJumpPmf, sample_many, truncate
-from .scaling import site_std_dev
+from .scaling import site_std_devs
 from .walk import RowError, SiteJumpMap, _evolve, hadamard, initial_block, site_probabilities
 
 __all__ = [
@@ -42,7 +48,9 @@ RNG_IDENTITY = "splitmix64+pcg64"
 # Bytes of one (B, 2, W) complex128 amplitude table: a block holds as many
 # realizations as fit.  A block run keeps about three and a half tables'
 # worth alive (two amplitude buffers, the static target map and bincount
-# temporaries), so this bounds the memory blocks add to a run.
+# temporaries), so this bounds the memory blocks add to a run.  The
+# (rows, T) uniforms of a dynamic chunk, from which blocks are cut, fit it
+# too.
 _BLOCK_BYTES = 256 * 1024
 
 _MASK64 = (1 << 64) - 1
@@ -85,11 +93,89 @@ class Realization:
         return "static" if isinstance(self.jumps, SiteJumpMap) else "dynamic"
 
 
+# numpy's SeedSequence with its default pool of four 32-bit words, and the
+# PCG64 multiplier: the constants _pcg64_states needs to reproduce
+# np.random.PCG64(seed) without building a SeedSequence per seed.
+_POOL_SIZE = 4
+_HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[np.uint32]:
+    """The running multipliers of ``count`` successive SeedSequence hashes."""
+    out = []
+    for _ in range(count):
+        out.append(np.uint32(init))
+        init = (init * mult) & _MASK32
+    return out
+
+
+# mix_entropy hashes the four pool words, then every ordered pair of them;
+# generate_state hashes eight output words (four uint64) from the pool.
+_ENTROPY_CONSTS = _hash_constants(_HASH_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + 1)
+_STATE_CONSTS = _hash_constants(_HASH_B, _MULT_B, 2 * _POOL_SIZE + 1)
+
+
+def _hashmix(value: np.ndarray, consts: list[np.uint32], k: int) -> np.ndarray:
+    value = (value ^ consts[k]) * consts[k + 1]
+    return value ^ (value >> np.uint32(16))
+
+
+def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
+    """The (state, inc) that ``np.random.PCG64(seed)`` starts from, per seed.
+
+    One vectorized SeedSequence pass over all seeds (uint32 arithmetic
+    wraps like numpy's own): each seed enters as its two 32-bit words
+    padded with zeros to the pool size, which hashes exactly like numpy's
+    one- or two-word entropy, since a missing word hashes as 0.  The
+    128-bit PCG64 seeding step then runs in Python ints.
+    """
+    if not all(0 <= seed <= _MASK64 for seed in seeds):
+        raise ValueError(f"realization seeds must be in [0, 2**64), got {seeds}")
+    seeds64 = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    entropy = [seeds64 & np.uint64(_MASK32), seeds64 >> np.uint64(32)]
+    entropy = [word.astype(np.uint32) for word in entropy]
+    entropy += [np.zeros(len(seeds64), dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    pool = [_hashmix(word, _ENTROPY_CONSTS, k) for k, word in enumerate(entropy)]
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed = _hashmix(pool[src], _ENTROPY_CONSTS, k)
+                mixed = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * hashed
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+                k += 1
+    words = np.stack(
+        [_hashmix(pool[i % _POOL_SIZE], _STATE_CONSTS, i) for i in range(2 * _POOL_SIZE)], axis=1
+    )
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in words.astype("<u4").view("<u8").tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def _uniforms(seeds: list[int], count: int) -> np.ndarray:
-    """(len(seeds), count) uniforms: row r opens the PCG64 stream of seeds[r]."""
+    """(len(seeds), count) uniforms: row r opens the PCG64 stream of seeds[r].
+
+    One PCG64 is reused for the whole block: each row sets its state to
+    the one ``np.random.PCG64(seeds[r])`` would start from, then draws.
+    """
     us = np.empty((len(seeds), count))
-    for row, seed in zip(us, seeds):
-        np.random.Generator(np.random.PCG64(seed)).random(out=row)
+    bits = np.random.PCG64(0)
+    draw = np.random.Generator(bits).random
+    for row, (state, inc) in zip(us, _pcg64_states(seeds)):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        draw(out=row)
     return us
 
 
@@ -168,8 +254,7 @@ def _evolve_rows(
         extent = max(1, int(jumps.sum(axis=1).max()))
         a, _ = _evolve(initial_block(rows, extent), coin, T, step_jumps=jumps)
         devs = [0.0] * rows
-    sites = np.arange(-extent, extent + 1)
-    return [site_std_dev(sites, p) for p in site_probabilities(a)], devs
+    return site_std_devs(np.arange(-extent, extent + 1), site_probabilities(a)), devs
 
 
 @dataclass
@@ -189,22 +274,47 @@ class EnsemblePoint:
             raise ValueError("dispersion statistics cannot be negative")
 
 
+def _table_bytes(rows: int, extent: int) -> int:
+    """Bytes of a (rows, 2, 2*extent+1) complex128 amplitude table."""
+    return rows * 2 * (2 * max(1, extent) + 1) * 16
+
+
+def _blocks(indices: range, static: bool, pmf: TruncatedJumpPmf, T: int, master_seed: int):
+    """Yield (block, seeds, jumps) for consecutive blocks covering ``indices``.
+
+    A static table is as wide as the site map, extent T*r_max, so static
+    blocks hold as many realizations as fit ``_BLOCK_BYTES`` at that
+    width.  A dynamic table is only as wide as its longest reach (the sum
+    of a row's jumps), which is usually far below T*r_max: dynamic jumps
+    are drawn for a chunk of realizations whose (rows, T) uniforms fit the
+    budget, and the chunk is cut greedily into blocks whose tables fit it.
+    A block always holds at least one realization.
+    """
+    extent = max(1, T * pmf.r_max)
+    size = max(1, _BLOCK_BYTES // (_table_bytes(1, extent) if static else 8 * T))
+    for start in range(indices.start, indices.stop, size):
+        chunk = range(start, min(start + size, indices.stop))
+        seeds = [derive_seed(master_seed, i) for i in chunk]
+        if static:
+            yield chunk, seeds, _site_jumps(pmf, extent, seeds)
+            continue
+        jumps = _step_jumps(pmf, T, seeds)
+        first, widest = 0, 0
+        for row, reach in enumerate(jumps.sum(axis=1).tolist()):
+            if row > first and _table_bytes(row + 1 - first, max(widest, reach)) > _BLOCK_BYTES:
+                yield chunk[first:row], seeds[first:row], jumps[first:row]
+                first, widest = row, 0
+            widest = max(widest, reach)
+        yield chunk[first:], seeds[first:], jumps[first:]
+
+
 def _shard(
     indices: range, static: bool, pmf: TruncatedJumpPmf, T: int, master_seed: int
 ) -> tuple[list[float], list[float]]:
-    """Sigmas and norm deviations of realizations ``indices``, in index order.
-
-    The shard runs in blocks of consecutive realizations, each as large as
-    ``_BLOCK_BYTES`` allows at the widest table T and the law can need.
-    """
-    extent = max(1, T * pmf.r_max)
-    size = max(1, _BLOCK_BYTES // (2 * (2 * extent + 1) * 16))
+    """Sigmas and norm deviations of realizations ``indices``, in index order."""
     sigmas: list[float] = []
     devs: list[float] = []
-    for start in range(indices.start, indices.stop, size):
-        block = range(start, min(start + size, indices.stop))
-        seeds = [derive_seed(master_seed, i) for i in block]
-        jumps = _site_jumps(pmf, extent, seeds) if static else _step_jumps(pmf, T, seeds)
+    for block, seeds, jumps in _blocks(indices, static, pmf, T, master_seed):
         try:
             block_sigmas, block_devs = _evolve_rows(jumps, T, static, hadamard())
         except RowError as exc:
@@ -255,8 +365,12 @@ def _collect(static, pmf, T, n, master_seed, workers) -> tuple[list[float], list
     Each worker gets one contiguous shard: realizations cost alike, and
     larger shards make larger blocks.
     """
+    if T < 1:
+        raise ValueError(f"need T >= 1, got {T}")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     task = partial(_shard, static=static, pmf=pmf, T=T, master_seed=master_seed)
-    if workers <= 1:
+    if workers == 1:
         return task(range(n))
     count = min(n, workers)
     shards = [range(n * k // count, n * (k + 1) // count) for k in range(count)]

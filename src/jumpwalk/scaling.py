@@ -21,6 +21,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ScalingFit",
     "site_std_dev",
+    "site_std_devs",
     "std_dev",
     "loglog_points",
     "fit_line",
@@ -29,21 +30,31 @@ __all__ = [
 ]
 
 
-def site_std_dev(sites: Sequence[float], probs: Sequence[float]) -> float:
-    """Central standard deviation of probabilities ``probs`` at ``sites``.
+def site_std_devs(sites: Sequence[float], probs: np.ndarray) -> list[float]:
+    """Central standard deviation of every row of ``probs`` (B, W) at ``sites`` (W,).
 
-    Every sum goes through math.fsum, which rounds the exact sum once, so
-    the result does not depend on the order of the sites and zero-mass
-    sites change nothing.
+    The moment terms p, sites*p and sites*sites*p are formed once for the
+    whole block; each row is then summed with math.fsum, which rounds the
+    exact sum once, so a row's result does not depend on the order of its
+    sites, on zero-mass sites or on the other rows.
     """
     sites = np.asarray(sites, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
-    total = math.fsum(probs.tolist())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"position distribution sums to {total}, not 1")
-    mean = math.fsum((sites * probs).tolist())
-    second = math.fsum((sites * sites * probs).tolist())
-    return math.sqrt(max(second - mean * mean, 0.0))
+    firsts = sites * probs
+    seconds = sites * sites * probs
+    out = []
+    for p, first, second in zip(probs, firsts, seconds):
+        total = math.fsum(p.tolist())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"position distribution sums to {total}, not 1")
+        mean = math.fsum(first.tolist())
+        out.append(math.sqrt(max(math.fsum(second.tolist()) - mean * mean, 0.0)))
+    return out
+
+
+def site_std_dev(sites: Sequence[float], probs: Sequence[float]) -> float:
+    """Central standard deviation of probabilities ``probs`` at ``sites``."""
+    return site_std_devs(sites, np.asarray(probs, dtype=np.float64)[None])[0]
 
 
 def std_dev(pmf: Mapping[int, float]) -> float:

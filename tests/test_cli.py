@@ -284,6 +284,15 @@ class TestExitCodes:
         code = main(["ensemble", "--T", "4", "--n", "0", "--out", str(tmp_path / "x")])
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize(
+        "argv", [["--T", "0", "--n", "5"], ["--T", "-3"], ["--T", "0", "--mode", "static"]]
+    )
+    def test_iteration_count_below_one_is_numerical(self, tmp_path, capsys, argv):
+        code = main(["ensemble", *argv, "--out", str(tmp_path / "x")])
+        assert code == EXIT_DOMAIN
+        assert f"need T >= 1, got {argv[1]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("dist", ["poisson:lambda=200", "binomial:n=2000,p=0.5"])
     def test_large_parameters_do_not_overflow(self, tmp_path, dist):
         code = main(["ensemble", "--T", "2", "--n", "2", "--dist", dist,

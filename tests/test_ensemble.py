@@ -7,10 +7,11 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jumpwalk.ensemble as ensemble
+from jumpwalk.cli import CLASS_LAWS, MEANS_LAWS
 from jumpwalk.distributions import DistributionSpec, sample_many, truncate
 from jumpwalk.ensemble import (
     derive_seed,
@@ -59,6 +60,36 @@ class TestDeriveSeed:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             derive_seed(1, -1)
+
+
+class TestBlockSeeding:
+    @settings(deadline=None)
+    @given(seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6))
+    @example(seeds=[0])
+    @example(seeds=[1])
+    @example(seeds=[2**32 - 1])
+    @example(seeds=[2**32])
+    @example(seeds=[2**64 - 1])
+    @example(seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_rows_start_where_numpy_pcg64_starts(self, seeds):
+        states = ensemble._pcg64_states(seeds)
+        uniforms = ensemble._uniforms(seeds, 17)
+        for seed, (state, inc), row in zip(seeds, states, uniforms):
+            assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+            expected = np.random.Generator(np.random.PCG64(seed)).random(17)
+            np.testing.assert_array_equal(row, expected)
+
+    def test_derived_seeds_in_one_block(self):
+        seeds = [derive_seed(42, i) for i in range(1000)]
+        uniforms = ensemble._uniforms(seeds, 5)
+        for seed, row in zip(seeds, uniforms):
+            expected = np.random.Generator(np.random.PCG64(seed)).random(5)
+            np.testing.assert_array_equal(row, expected)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            ensemble._uniforms([5, seed], 3)
 
 
 class TestRealizationSampling:
@@ -146,6 +177,20 @@ class TestQuenchedAverage:
             quenched_average(POISSON1, 4, 0, 1)
         with pytest.raises(ValueError):
             quenched_average(POISSON1, 4, 2, 1, mode="annealed")
+
+    @pytest.mark.parametrize("T", [0, -3])
+    def test_iteration_count_below_one_is_rejected(self, T):
+        with pytest.raises(ValueError, match=f"need T >= 1, got {T}"):
+            quenched_average(POISSON1, T, 5, 1)
+        with pytest.raises(ValueError, match=f"need T >= 1, got {T}"):
+            static_quenched_average(POISSON1, T, 5, 1)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_is_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"need workers >= 1, got {workers}"):
+            quenched_average(POISSON1, 4, 5, 1, workers=workers)
+        with pytest.raises(ValueError, match=f"need workers >= 1, got {workers}"):
+            static_quenched_average(POISSON1, 4, 5, 1, workers=workers)
 
     def test_worker_count_does_not_change_bits(self):
         serial = quenched_average(POISSON1, 8, 40, master_seed=9, workers=1)
@@ -291,3 +336,36 @@ def test_block_rows_are_lone_realizations_bit_for_bit(law, T, master, sizes, sta
             alone_dev = 0.0
         assert sigma == site_std_dev(state.sites(), state.probabilities())
         assert dev == alone_dev
+
+
+# The eleven laws the acceptance suite runs: the paper's pinned Poisson cut,
+# the four means and the six sub- and super-Poissonian classes.
+_ACCEPTANCE_LAWS = [POISSON1, *(spec for _, spec in MEANS_LAWS + CLASS_LAWS)]
+
+
+@pytest.mark.parametrize("static", [False, True], ids=["dynamic", "static"])
+@pytest.mark.parametrize("T", [4, 24])
+@pytest.mark.parametrize("law", _ACCEPTANCE_LAWS, ids=str)
+def test_blocks_cover_the_shard_in_order_within_budget(law, T, static):
+    pmf = truncate(law)
+    indices = range(3, 1203)
+    covered = []
+    for block, seeds, jumps in ensemble._blocks(indices, static, pmf, T, master_seed=7):
+        assert len(block) == len(seeds) == len(jumps) >= 1
+        assert seeds == [derive_seed(7, i) for i in block]
+        extent = T * pmf.r_max if static else int(jumps.sum(axis=1).max())
+        table = ensemble._table_bytes(len(block), extent)
+        assert len(block) == 1 or table <= ensemble._BLOCK_BYTES
+        covered += block
+    assert covered == list(indices)
+    if not static:
+        lone = sample_dynamic_realization(pmf, T, derive_seed(7, indices[-1])).jumps
+        np.testing.assert_array_equal(jumps[-1], lone)
+
+
+def test_dynamic_blocks_are_sized_by_reach_not_by_bound():
+    pmf = truncate(DistributionSpec("geometric", {"p": 0.5}))
+    T = 24
+    bound_rows = ensemble._BLOCK_BYTES // ensemble._table_bytes(1, T * pmf.r_max)
+    sizes = [len(block) for block, _, _ in ensemble._blocks(range(4000), False, pmf, T, 42)]
+    assert sum(sizes) / len(sizes) >= 2 * bound_rows
