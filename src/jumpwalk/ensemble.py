@@ -7,28 +7,48 @@ streams are seeded together: one vectorized SeedSequence pass gives
 every row the state ``np.random.PCG64(seed)`` starts from, and one
 reused generator draws each row from it.  Realizations are evolved in
 blocks, one (B, 2, W) table per block within ``_BLOCK_BYTES``, and every
-row evolves bit for bit as it would alone.  Static tables are as wide
-as the site map; dynamic tables only as wide as the block's longest
-reach, so dynamic blocks are cut from the sampled jumps.  Each block's
+row evolves bit for bit as it would alone.  Static blocks hold as many
+rows as fit at the site map's width, but run each stretch of iterations
+in a table cut to the span their amplitude can reach, since a walker
+trapped by its map spans a few sites; dynamic tables are only as wide
+as the block's longest reach, so dynamic blocks are cut from the sampled
+jumps.  Each block's
 moments are formed at once and every row's dispersion is reduced with
 math.fsum, making the quenched mean bit-identical regardless of
 evaluation order, block size or worker count.
+
+Each process keeps a checkpoint: the walkers of the shard it evolved
+last, their tables cut to the sites they span, with their reach and norm
+deviations.  A call for the same realizations at the same or a later T,
+such as a sweep's next grid point, resumes them: it draws only the new
+uniforms (static maps are drawn whole, as at the origin), widens each
+row center-aligned, cuts the rows into blocks afresh and runs only the
+remaining iterations, which gives the bits a run from the origin gives.
+A run from the origin is the same path from T = 0.  Any other call drops
+the checkpoint before it starts, a call that raises leaves none, walkers
+whose tables outgrow ``_CHECKPOINT_BYTES`` are not kept, and
+``release_checkpoint`` drops it on request.
 """
 
 from __future__ import annotations
 
 import atexit
+import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import get_context
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distributions import DistributionSpec, TruncatedJumpPmf, sample_many, truncate
 from .scaling import site_std_devs
 from .walk import RowError, SiteJumpMap, _evolve, hadamard, initial_block, site_probabilities
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "Realization",
@@ -39,6 +59,7 @@ __all__ = [
     "sigma_of_realization",
     "quenched_average",
     "static_quenched_average",
+    "release_checkpoint",
     "RNG_IDENTITY",
 ]
 
@@ -52,6 +73,14 @@ RNG_IDENTITY = "splitmix64+pcg64"
 # (rows, T) uniforms of a dynamic chunk, from which blocks are cut, fit it
 # too.
 _BLOCK_BYTES = 256 * 1024
+
+# Bytes of amplitude table the checkpoint may keep: the walkers of the last
+# shard evolved, resumed at the next grid T.  With 4000 realizations a
+# static sweep to T=40 keeps 3.8 MB (its tables cut to the few sites a
+# trapped walker spans) and a dynamic sweep to T=24 keeps 5.8-16.7 MB over
+# the eleven acceptance laws; a shard that would outgrow the cap is evolved
+# all the same and not kept.
+_CHECKPOINT_BYTES = 32 * 1024 * 1024
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -159,24 +188,33 @@ def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
     return states
 
 
-def _uniforms(seeds: list[int], count: int) -> np.ndarray:
-    """(len(seeds), count) uniforms: row r opens the PCG64 stream of seeds[r].
+def _draws(states: list[tuple[int, int]], skip: int, count: int) -> np.ndarray:
+    """(len(states), count) uniforms: row r continues the PCG64 stream that
+    starts at states[r], past its first ``skip`` draws.
 
-    One PCG64 is reused for the whole block: each row sets its state to
-    the one ``np.random.PCG64(seeds[r])`` would start from, then draws.
+    One PCG64 is reused for the whole block: each row sets its state,
+    advances past the draws already used (one 64-bit output per uniform),
+    then draws.
     """
-    us = np.empty((len(seeds), count))
+    us = np.empty((len(states), count))
     bits = np.random.PCG64(0)
     draw = np.random.Generator(bits).random
-    for row, (state, inc) in zip(us, _pcg64_states(seeds)):
+    for row, (state, inc) in zip(us, states):
         bits.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
             "has_uint32": 0,
             "uinteger": 0,
         }
+        if skip:
+            bits.advance(skip)
         draw(out=row)
     return us
+
+
+def _uniforms(seeds: list[int], count: int) -> np.ndarray:
+    """(len(seeds), count) uniforms: row r opens the PCG64 stream of seeds[r]."""
+    return _draws(_pcg64_states(seeds), 0, count)
 
 
 def _step_jumps(pmf: TruncatedJumpPmf, T: int, seeds: list[int]) -> np.ndarray:
@@ -235,26 +273,69 @@ def sigma_of_realization(realization: Realization, coin: np.ndarray) -> float:
 def _evolve_rows(
     jumps: np.ndarray, T: int, static: bool, coin: np.ndarray
 ) -> tuple[list[float], list[float]]:
-    """Evolve a block; return each row's sigma and max |norm - 1| over iterations.
+    """Evolve a block from the origin; return each row's sigma and max |norm - 1|.
 
     ``jumps`` holds one row per realization: T per-iteration jumps, or
     one jump per site when ``static``.  A dynamic block is as wide as its
-    longest reach; rows that reach less hold zeros at the edges, which
-    change no fsum, and under a real coin such as the Hadamard the coin
-    product rounds every column alike wherever it sits, so each row's
-    sigma is the one it gets alone.  Dynamic runs check their norm at
-    every iteration instead of logging it, so their deviation reads 0.
+    longest reach.
     """
-    rows = len(jumps)
+    extent = (jumps.shape[1] - 1) // 2 if static else max(1, int(jumps.sum(axis=1).max()))
+    _, sigmas, devs = _run_rows(initial_block(len(jumps), extent), jumps, 0, T, static, coin)
+    return sigmas, devs.tolist()
+
+
+def _run_rows(
+    a: np.ndarray, jumps: np.ndarray, done: int, T: int, static: bool, coin: np.ndarray
+) -> tuple[np.ndarray, list[float], np.ndarray]:
+    """Evolve the (B, 2, 2*extent+1) table ``a`` from iteration ``done`` to T.
+
+    Returns the final table, each row's sigma and each row's max
+    |norm - 1| over these iterations.  Rows that reach less than the
+    table's extent hold zeros at the edges, which change no fsum, and
+    walk._evolve says why such padding changes no bit under a real coin,
+    so each row's sigma is the one it gets alone.  Dynamic runs check
+    their norm at every iteration instead of logging it, so their
+    deviation reads 0.
+    """
     if static:
-        extent = (jumps.shape[1] - 1) // 2
-        a, norms = _evolve(initial_block(rows, extent), coin, T, site_jumps=jumps)
-        devs = np.abs(norms - 1.0).max(axis=1).tolist()
+        a, devs = _run_static(a, jumps, done, T, coin)
     else:
-        extent = max(1, int(jumps.sum(axis=1).max()))
-        a, _ = _evolve(initial_block(rows, extent), coin, T, step_jumps=jumps)
-        devs = [0.0] * rows
-    return site_std_devs(np.arange(-extent, extent + 1), site_probabilities(a)), devs
+        a, _ = _evolve(a, coin, T - done, step_jumps=jumps, start=done)
+        devs = np.zeros(len(a))
+    extent = a.shape[-1] // 2
+    return a, site_std_devs(np.arange(-extent, extent + 1), site_probabilities(a)), devs
+
+
+# Static iterations run in stretches of this many, each in a table cut to
+# the span the block's amplitude can reach by the stretch's end.
+_STATIC_STRETCH = 2
+
+
+def _run_static(
+    a: np.ndarray, maps: np.ndarray, done: int, T: int, coin: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve static rows from iteration ``done`` to T; return the table and max |norm - 1|.
+
+    ``maps`` holds each row's jumps over the sites of ``a``'s columns.  A
+    walker trapped by its map spans a few sites of a table T*r_max wide,
+    so each stretch of iterations runs in a table re-centered to the
+    block's present span plus the farthest the stretch's jumps can carry
+    it: the narrower table gives the same bits, and a jump off the full
+    table still raises.
+    """
+    mid = maps.shape[1] // 2
+    reach = int(maps.max(initial=0))
+    devs = np.zeros(len(a))
+    while done < T:
+        stretch = min(_STATIC_STRETCH, T - done)
+        extent = min(mid, max(1, _span(a) + stretch * reach))
+        a, norms = _evolve(
+            _recentered(a, extent), coin, stretch,
+            site_jumps=maps[:, mid - extent : mid + extent + 1], start=done,
+        )
+        devs = np.maximum(devs, np.abs(norms - 1.0).max(axis=1))
+        done += stretch
+    return a, devs
 
 
 @dataclass
@@ -279,50 +360,192 @@ def _table_bytes(rows: int, extent: int) -> int:
     return rows * 2 * (2 * max(1, extent) + 1) * 16
 
 
-def _blocks(indices: range, static: bool, pmf: TruncatedJumpPmf, T: int, master_seed: int):
-    """Yield (block, seeds, jumps) for consecutive blocks covering ``indices``.
+def _by_row(blocks: list[np.ndarray]) -> deque:
+    """(first row, block) pairs for consecutive blocks of rows."""
+    return deque(zip(itertools.accumulate((len(b) for b in blocks), initial=0), blocks))
 
-    A static table is as wide as the site map, extent T*r_max, so static
-    blocks hold as many realizations as fit ``_BLOCK_BYTES`` at that
-    width.  A dynamic table is only as wide as its longest reach (the sum
-    of a row's jumps), which is usually far below T*r_max: dynamic jumps
-    are drawn for a chunk of realizations whose (rows, T) uniforms fit the
-    budget, and the chunk is cut greedily into blocks whose tables fit it.
-    A block always holds at least one realization.
+
+def _take(old: deque, rows: slice, extent: int) -> np.ndarray:
+    """Rows ``rows`` of the blocks in ``old``, each centered in 2*extent+1 columns.
+
+    ``old`` holds (first row, block) pairs in row order, the first one
+    holding ``rows.start``; a block is popped once its last row is taken.
+    Columns beyond the narrower of the two widths are dropped or zero: a
+    row's amplitude lies within its reach, which both tables hold.
     """
-    extent = max(1, T * pmf.r_max)
-    size = max(1, _BLOCK_BYTES // (_table_bytes(1, extent) if static else 8 * T))
-    for start in range(indices.start, indices.stop, size):
-        chunk = range(start, min(start + size, indices.stop))
-        seeds = [derive_seed(master_seed, i) for i in chunk]
-        if static:
-            yield chunk, seeds, _site_jumps(pmf, extent, seeds)
-            continue
-        jumps = _step_jumps(pmf, T, seeds)
-        first, widest = 0, 0
-        for row, reach in enumerate(jumps.sum(axis=1).tolist()):
-            if row > first and _table_bytes(row + 1 - first, max(widest, reach)) > _BLOCK_BYTES:
-                yield chunk[first:row], seeds[first:row], jumps[first:row]
-                first, widest = row, 0
-            widest = max(widest, reach)
-        yield chunk[first:], seeds[first:], jumps[first:]
+    parts, row = [], rows.start
+    while row < rows.stop:
+        first, block = old[0]
+        stop = min(rows.stop, first + len(block))
+        parts.append(_recentered(block[row - first : stop - first], extent))
+        if stop == first + len(block):
+            old.popleft()
+        row = stop
+    return np.concatenate(parts)
+
+
+def _span(a: np.ndarray) -> int:
+    """The farthest site from the center at which a row of the table ``a`` has amplitude."""
+    mid = a.shape[-1] // 2
+    return int(np.abs(np.flatnonzero(a.any(axis=(0, 1))) - mid).max(initial=0))
+
+
+def _recentered(a: np.ndarray, extent: int) -> np.ndarray:
+    """The table ``a`` cut or zero-padded to 2*extent+1 columns, center-aligned."""
+    mid = a.shape[-1] // 2
+    if mid == extent:
+        return a
+    out = np.zeros((*a.shape[:-1], 2 * extent + 1), a.dtype)
+    half = min(mid, extent)
+    out[..., extent - half : extent + half + 1] = a[..., mid - half : mid + half + 1]
+    return out
+
+
+def _checkpoint_key(indices: range, static: bool, pmf: TruncatedJumpPmf, master_seed: int):
+    """Everything that shapes a shard's rows: which walkers a checkpoint holds."""
+    return (pmf.cdf.tobytes(), pmf.r_max, master_seed, indices, static)
+
+
+class _Walkers:
+    """The realizations ``indices`` of one shard, evolved together to iteration T.
+
+    Rows are the realizations in index order.  ``tables`` holds their
+    amplitudes as consecutive (B, 2, W) blocks, each cut to the span its
+    rows reach; ``reach`` holds each row's sum of jumps so far (dynamic)
+    and ``devs`` each row's max |norm - 1| so far (static).  A new
+    instance is every row at the origin at T = 0, with no tables: its
+    blocks start from the origin, and otherwise run the same path as
+    resumed ones.
+    """
+
+    def __init__(self, indices: range, static: bool, pmf: TruncatedJumpPmf, master_seed: int):
+        self.key = _checkpoint_key(indices, static, pmf, master_seed)
+        self.indices, self.static, self.pmf, self.master_seed = indices, static, pmf, master_seed
+        self.T = 0
+        self.reach = np.zeros(len(indices), dtype=np.int64)
+        self.devs = np.zeros(len(indices))
+        self.tables: list[np.ndarray] | None = []
+
+    def seeds(self, rows: slice) -> list[int]:
+        return [derive_seed(self.master_seed, i) for i in self.indices[rows]]
+
+    def cut(self, T: int):
+        """Yield (rows, jumps, extent) for consecutive row slices covering the shard.
+
+        ``jumps`` takes the rows from iteration self.T to T in a table of
+        the given extent.  A static table is as wide as the site map,
+        extent T*r_max, so static blocks hold as many rows as fit
+        ``_BLOCK_BYTES`` at that width; their jumps are the rows' whole
+        maps, drawn afresh.  A dynamic table is only as wide as its
+        longest reach, usually far below T*r_max: the new jumps are drawn
+        for a chunk of rows whose uniforms fit the budget, past the draws
+        already spent, and the chunk is cut greedily into blocks whose
+        tables fit it at the rows' reach after T.  A block always holds
+        at least one row.  Each chunk is read before any of its rows is
+        yielded.
+        """
+        n, done = len(self.indices), self.T
+        if self.static:
+            extent = max(1, T * self.pmf.r_max)
+            size = max(1, _BLOCK_BYTES // _table_bytes(1, extent))
+            for start in range(0, n, size):
+                rows = slice(start, min(start + size, n))
+                yield rows, _site_jumps(self.pmf, extent, self.seeds(rows)), extent
+            return
+        size = max(1, _BLOCK_BYTES // (8 * max(1, T - done)))
+        for start in range(0, n, size):
+            stop = min(start + size, n)
+            states = _pcg64_states(self.seeds(slice(start, stop)))
+            jumps = sample_many(self.pmf, _draws(states, done, T - done))
+            first, widest = 0, 0
+            for row, reach in enumerate((self.reach[start:stop] + jumps.sum(axis=1)).tolist()):
+                if row > first and _table_bytes(row + 1 - first, max(widest, reach)) > _BLOCK_BYTES:
+                    yield slice(start + first, start + row), jumps[first:row], max(1, widest)
+                    first, widest = row, 0
+                widest = max(widest, reach)
+            yield slice(start + first, stop), jumps[first:], max(1, widest)
+
+    def advance(self, T: int) -> tuple[list[float], list[float]]:
+        """Evolve every row from self.T to T; return sigmas and norm deviations.
+
+        Blocks are cut afresh for T, and each row moves into its new block
+        center-aligned; old blocks are let go as their rows move.  The new
+        blocks, cut to their span, are kept while they stay within
+        ``_CHECKPOINT_BYTES``; past that ``tables`` is None.
+        """
+        old = _by_row(self.tables) if self.T else None
+        self.tables = None
+        tables, kept = [], 0
+        sigmas: list[float] = []
+        coin = hadamard()
+        for rows, jumps, extent in self.cut(T):
+            if not self.static:
+                self.reach[rows] += jumps.sum(axis=1)
+            if old is None:
+                a = initial_block(rows.stop - rows.start, extent)
+            else:
+                a = _take(old, rows, extent)
+            try:
+                a, block_sigmas, block_devs = _run_rows(a, jumps, self.T, T, self.static, coin)
+            except RowError as exc:
+                i = self.indices[rows.start + exc.row]
+                raise ValueError(
+                    f"realization {i} (seed {derive_seed(self.master_seed, i)}): {exc}"
+                ) from None
+            sigmas += block_sigmas
+            self.devs[rows] = np.maximum(self.devs[rows], block_devs)
+            if tables is not None:
+                tables.append(_recentered(a, max(1, _span(a))))
+                kept += tables[-1].nbytes
+                if kept > _CHECKPOINT_BYTES:
+                    tables = None
+        self.T, self.tables = T, tables
+        return sigmas, self.devs.tolist()
+
+
+def _blocks(indices: range, static: bool, pmf: TruncatedJumpPmf, T: int, master_seed: int):
+    """Yield (block, seeds, jumps) for blocks covering ``indices`` from T = 0 to T."""
+    walkers = _Walkers(indices, static, pmf, master_seed)
+    for rows, jumps, _ in walkers.cut(T):
+        yield indices[rows], walkers.seeds(rows), jumps
+
+
+# The walkers this process evolved last, resumed when the next call asks for
+# the same realizations at the same or a later T (a sweep's next grid point).
+# A call takes them under the lock, so two threads never advance one set.
+_CHECKPOINT: _Walkers | None = None
+_CHECKPOINT_LOCK = threading.Lock()
+
+
+def release_checkpoint() -> None:
+    """Drop the walkers this process keeps for the next point, and their memory.
+
+    Pool workers keep their own until the pool shuts down.
+    """
+    global _CHECKPOINT
+    with _CHECKPOINT_LOCK:
+        _CHECKPOINT = None
 
 
 def _shard(
     indices: range, static: bool, pmf: TruncatedJumpPmf, T: int, master_seed: int
 ) -> tuple[list[float], list[float]]:
-    """Sigmas and norm deviations of realizations ``indices``, in index order."""
-    sigmas: list[float] = []
-    devs: list[float] = []
-    for block, seeds, jumps in _blocks(indices, static, pmf, T, master_seed):
-        try:
-            block_sigmas, block_devs = _evolve_rows(jumps, T, static, hadamard())
-        except RowError as exc:
-            raise ValueError(
-                f"realization {block[exc.row]} (seed {seeds[exc.row]}): {exc}"
-            ) from None
-        sigmas += block_sigmas
-        devs += block_devs
+    """Sigmas and norm deviations of realizations ``indices``, in index order.
+
+    Resumes the checkpoint when it holds these realizations at an
+    iteration count no larger than T, and otherwise drops it and starts
+    them at the origin.  The walkers become the new checkpoint unless the
+    call raises or their tables outgrow ``_CHECKPOINT_BYTES``.
+    """
+    global _CHECKPOINT
+    with _CHECKPOINT_LOCK:
+        walkers, _CHECKPOINT = _CHECKPOINT, None
+    key = _checkpoint_key(indices, static, pmf, master_seed)
+    if walkers is None or walkers.key != key or walkers.T > T:
+        walkers = _Walkers(indices, static, pmf, master_seed)
+    sigmas, devs = walkers.advance(T)
+    if walkers.tables is not None:
+        _CHECKPOINT = walkers
     return sigmas, devs
 
 
@@ -340,6 +563,9 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     A worker that dies (killed, or ``os._exit``) marks the executor broken
     for good; ``_broken`` is the executor's own record of that.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     global _POOL, _POOL_WORKERS
     if _POOL is None or _POOL_WORKERS != workers or _POOL._broken:
         if _POOL is not None:

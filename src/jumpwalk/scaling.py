@@ -43,12 +43,12 @@ def site_std_devs(sites: Sequence[float], probs: np.ndarray) -> list[float]:
     firsts = sites * probs
     seconds = sites * sites * probs
     out = []
-    for p, first, second in zip(probs, firsts, seconds):
-        total = math.fsum(p.tolist())
+    for p, first, second in zip(probs.tolist(), firsts.tolist(), seconds.tolist()):
+        total = math.fsum(p)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"position distribution sums to {total}, not 1")
-        mean = math.fsum(first.tolist())
-        out.append(math.sqrt(max(math.fsum(second.tolist()) - mean * mean, 0.0)))
+        mean = math.fsum(first)
+        out.append(math.sqrt(max(math.fsum(second) - mean * mean, 0.0)))
     return out
 
 

@@ -15,6 +15,7 @@ distribution.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -211,6 +212,7 @@ def _evolve(
     *,
     step_jumps: np.ndarray | Sequence[Sequence[int]] | None = None,
     site_jumps: np.ndarray | None = None,
+    start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The one evolution kernel: T coin-then-shift iterations on a block.
 
@@ -222,26 +224,35 @@ def _evolve(
     (B, W) holds each row's fixed jump per storage column: every site
     scatters to its own target, which need not be unitary, so each row's
     norm is logged at every iteration and the row renormalized when it
-    drifts beyond STATIC_RENORM_TOL.  Those norms are taken row by row
-    with ``np.vdot`` over the row's contiguous (2, W) slice, the reduction
-    a lone walker gets, so a row evolves bit for bit as it would alone in
-    a table of the same width; step-jump norms are only checked, so one
-    vectorized sum serves.  Returns the final table and the (B, T) norm
-    log (None for step jumps).  A failed check raises RowError naming
-    the row.
+    drifts beyond STATIC_RENORM_TOL.  A row's norm is the square root of
+    the math.fsum of its site probabilities: that sum is exactly rounded,
+    so neither the other rows nor zero padding change it.  Under a real
+    coin such as the Hadamard, the coin product and the shifts round a
+    column alike wherever it sits, so a row evolves bit for bit as it
+    would alone or in any wider table that holds it center-aligned, and
+    evolving T1 then T2 iterations equals evolving T1 + T2 at once (a
+    general complex coin can round a column differently at another
+    position).  Step-jump norms are only checked, so one vectorized sum
+    serves.  Returns the final table and the (B, T) norm log (None for
+    step jumps).  A failed check raises RowError naming the row and the
+    iteration, counted from ``start``, the iterations the rows already ran.
     """
     coin = np.asarray(coin, dtype=np.complex128)
     if not is_unitary(coin):
         raise ValueError("coin operator is not unitary within 1e-12")
     static = site_jumps is not None
-    shift = _site_scatter(site_jumps, a.shape) if static else _step_shift(step_jumps, a.shape, T)
+    if static:
+        shift = _site_scatter(site_jumps, a.shape)
+    else:
+        shift = _step_shift(step_jumps, a.shape, T, start)
     norms = np.empty((a.shape[0], T)) if static else None
     b = np.empty_like(a)
-    for t in range(1, T + 1):
+    for t in range(start + 1, start + T + 1):
         np.matmul(coin, a, out=b)
         a, b = shift(b, a, t)
         if static:
-            norm = norms[:, t - 1] = np.sqrt([np.vdot(row, row).real for row in a])
+            probs = site_probabilities(a).tolist()
+            norm = norms[:, t - start - 1] = np.sqrt([math.fsum(p) for p in probs])
             vanished = np.flatnonzero(norm == 0.0)
             if vanished.size:
                 raise RowError(int(vanished[0]), f"state vanished at iteration {t}")
@@ -260,11 +271,12 @@ def _evolve(
     return a, norms
 
 
-def _step_shift(step_jumps, shape: tuple[int, int, int], T: int):
+def _step_shift(step_jumps, shape: tuple[int, int, int], T: int, start: int):
     """Shift for per-iteration jump lengths: shift(src, dst, t) -> (state, spare).
 
     Shifts ``src`` in place, one slice per distinct jump length of the
-    iteration, so the rows that share a length move together.
+    iteration, so the rows that share a length move together.  Column k
+    of ``step_jumps`` holds the jumps of iteration start + k + 1.
     """
     rows, _, width = shape
     given = np.asarray(step_jumps)
@@ -275,7 +287,7 @@ def _step_shift(step_jumps, shape: tuple[int, int, int], T: int):
         )
 
     def shift(src, dst, t):
-        column = steps[:, t - 1]
+        column = steps[:, t - start - 1]
         lengths = np.flatnonzero(np.bincount(column))
         for j in lengths[lengths > 0].tolist():
             moved = np.flatnonzero(column == j)

@@ -3,7 +3,10 @@
 import itertools
 import math
 import os
+import sys
+import threading
 from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -369,3 +372,153 @@ def test_dynamic_blocks_are_sized_by_reach_not_by_bound():
     bound_rows = ensemble._BLOCK_BYTES // ensemble._table_bytes(1, T * pmf.r_max)
     sizes = [len(block) for block, _, _ in ensemble._blocks(range(4000), False, pmf, T, 42)]
     assert sum(sizes) / len(sizes) >= 2 * bound_rows
+
+
+# --- resuming the walkers of the previous point --------------------------------
+
+
+def _point(static, spec, T, n, master, workers=1):
+    if static:
+        return static_quenched_average(spec, T, n, master, workers)
+    return quenched_average(spec, T, n, master, workers=workers)
+
+
+def _cold_point(static, spec, T, n, master):
+    """The point at T from walkers started at the origin."""
+    ensemble.release_checkpoint()
+    return _point(static, spec, T, n, master)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    law=st.sampled_from(_LAWS),
+    grid=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5).map(sorted),
+    n=st.integers(min_value=1, max_value=12),
+    master=st.integers(min_value=0, max_value=2**64 - 1),
+    static=st.booleans(),
+    # A patched budget only reaches this process, not spawned pool workers,
+    # so the one-row budget runs at workers=1.
+    workers_budget=st.sampled_from([(1, ensemble._BLOCK_BYTES), (1, 1), (2, ensemble._BLOCK_BYTES)]),
+)
+def test_resumed_points_equal_cold_points_bit_for_bit(law, grid, n, master, static, workers_budget):
+    workers, budget = workers_budget
+    ensemble.release_checkpoint()
+    with mock.patch.object(ensemble, "_BLOCK_BYTES", budget):
+        swept = [_point(static, law, T, n, master, workers) for T in grid]
+        if workers == 1:
+            assert ensemble._CHECKPOINT.T == grid[-1]
+    assert swept == [_cold_point(static, law, T, n, master) for T in grid]
+
+
+@pytest.mark.parametrize("static", [False, True], ids=["dynamic", "static"])
+def test_a_smaller_T_after_a_larger_one_starts_again(static):
+    late = _point(static, POISSON1, 9, 7, 3)
+    early = _point(static, POISSON1, 4, 7, 3)
+    assert ensemble._CHECKPOINT.T == 4
+    assert early == _cold_point(static, POISSON1, 4, 7, 3)
+    assert late == _cold_point(static, POISSON1, 9, 7, 3)
+
+
+def test_a_spill_mid_sweep_names_the_realization_and_keeps_no_checkpoint(monkeypatch):
+    draw = ensemble._site_jumps
+
+    def oversized(pmf, extent, seeds):
+        jumps = draw(pmf, extent, seeds)
+        if extent > 3 * pmf.r_max:
+            jumps[2] = 2 * extent + 1  # from T=4 on, realization 2 jumps off its table
+        return jumps
+
+    monkeypatch.setattr(ensemble, "_site_jumps", oversized)
+    ensemble.release_checkpoint()
+    for T in (1, 3):
+        static_quenched_average(POISSON1, T, 4, master_seed=5)
+    assert ensemble._CHECKPOINT.T == 3
+    message = rf"realization 2 \(seed {derive_seed(5, 2)}\): site-dependent shift at iteration 4"
+    with pytest.raises(ValueError, match=message):
+        static_quenched_average(POISSON1, 5, 4, master_seed=5)
+    assert ensemble._CHECKPOINT is None
+
+
+@pytest.mark.parametrize("static", [False, True], ids=["dynamic", "static"])
+@pytest.mark.parametrize("cap", [1, 2 * ensemble._table_bytes(1, 3 * 5)])
+def test_a_shard_over_the_cap_gives_the_same_bits_and_keeps_nothing(monkeypatch, static, cap):
+    cold = [_cold_point(static, POISSON1, T, 40, 11) for T in (3, 5)]
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 1)  # one realization per block
+    monkeypatch.setattr(ensemble, "_CHECKPOINT_BYTES", cap)  # no or a few blocks fit
+    ensemble.release_checkpoint()
+    for T, expected in zip((3, 5), cold):
+        assert _point(static, POISSON1, T, 40, 11) == expected
+        assert ensemble._CHECKPOINT is None
+
+
+@pytest.mark.parametrize("static", [False, True], ids=["dynamic", "static"])
+def test_resumed_tables_fit_the_block_budget(monkeypatch, static):
+    tables = []
+    evolve = ensemble._evolve
+
+    def recording(a, *args, **kwargs):
+        tables.append((len(a), a.nbytes))
+        return evolve(a, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "_evolve", recording)
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 16 * 1024)
+    ensemble.release_checkpoint()
+    for T in range(2, 25, 2):
+        _point(static, POISSON1, T, 200, 7)
+    assert ensemble._CHECKPOINT.T == 24
+    assert len(tables) > 12
+    assert all(rows == 1 or size <= 16 * 1024 for rows, size in tables)
+
+
+@pytest.mark.parametrize("stretch", [1, 3, 7])
+@pytest.mark.parametrize("law", [POISSON1, DistributionSpec("geometric", {"p": 0.5})], ids=str)
+def test_static_stretches_in_cut_tables_give_full_table_bits(monkeypatch, stretch, law):
+    pmf, T = truncate(law), 9
+    seeds = [derive_seed(13, i) for i in range(6)]
+    maps = ensemble._site_jumps(pmf, T * pmf.r_max, seeds)
+    monkeypatch.setattr(ensemble, "_STATIC_STRETCH", stretch)
+    sigmas, devs = ensemble._evolve_rows(maps, T, True, hadamard())
+    for seed, sigma, dev in zip(seeds, sigmas, devs):
+        site_map = sample_static_realization(pmf, T * pmf.r_max, seed, T).jumps
+        state, norm_log = run_static(T, site_map, hadamard())
+        assert sigma == site_std_dev(state.sites(), state.probabilities())
+        assert dev == max(abs(x - 1.0) for x in norm_log)
+
+
+def test_static_checkpoint_keeps_only_the_span_its_walkers_reach():
+    ensemble.release_checkpoint()
+    for T in (10, 20):
+        _point(True, POISSON1, T, 50, 2)
+    tables = ensemble._CHECKPOINT.tables
+    assert sum(len(a) for a in tables) == 50
+    for a in tables:
+        assert a.shape[-1] < 2 * 20 * 5 + 1
+        assert a[..., [0, -1]].any()  # no wider than the amplitude
+    ensemble.release_checkpoint()
+    assert ensemble._CHECKPOINT is None
+
+
+@pytest.mark.parametrize("static", [False, True], ids=["dynamic", "static"])
+def test_threads_sharing_the_checkpoint_get_cold_bits(static):
+    # Four threads run one sweep at once, more threads than cores, with a
+    # short switch interval: a thread that advanced walkers another thread
+    # holds would fail or give other bits than cold points.
+    grid = list(range(1, 9))
+    cold = [_cold_point(static, POISSON1, T, 9, 1) for T in grid]
+    results = {}
+
+    def run(slot):
+        results[slot] = [_point(static, POISSON1, T, 9, 1) for T in grid]
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {slot: cold for slot in range(4)}

@@ -387,3 +387,35 @@ def test_a_failed_check_names_its_row():
     with pytest.raises(RowError, match="allocated extent 3") as excinfo:
         _evolve(initial_block(3, 3), hadamard(), 3, step_jumps=step_jumps)
     assert excinfo.value.row == 1
+
+
+@settings(deadline=None)
+@given(rows=st.integers(min_value=1, max_value=3), T=st.integers(min_value=1, max_value=8),
+       done=st.integers(min_value=0, max_value=8), pad=st.integers(min_value=1, max_value=9),
+       seed=st.integers(min_value=0, max_value=2**32), static=st.booleans())
+def test_rows_evolve_bit_for_bit_in_a_wider_table(rows, T, done, pad, seed, static):
+    # Rows run `done` iterations, are moved center-aligned into a table `pad`
+    # columns wider on each side, and run the rest: under the Hadamard coin
+    # that matches the narrow run bit for bit, norms included.
+    coin = hadamard()
+    done = min(done, T)
+    extent, wide = 3 * T, 3 * T + pad
+    rng = np.random.default_rng(seed)
+    if static:
+        wide_jumps = rng.integers(0, 4, size=(rows, 2 * wide + 1))
+        narrow_jumps = wide_jumps[:, pad:-pad]
+        first, rest = {"site_jumps": narrow_jumps}, {"site_jumps": wide_jumps}
+        whole = first
+    else:
+        jumps = rng.integers(0, 4, size=(rows, T))
+        first, rest = {"step_jumps": jumps[:, :done]}, {"step_jumps": jumps[:, done:]}
+        whole = {"step_jumps": jumps}
+    narrow, narrow_norms = _evolve(initial_block(rows, extent), coin, T, **whole)
+    part, part_norms = _evolve(initial_block(rows, extent), coin, done, **first)
+    widened = np.zeros((rows, 2, 2 * wide + 1), dtype=np.complex128)
+    widened[:, :, pad:-pad] = part
+    out, out_norms = _evolve(widened, coin, T - done, start=done, **rest)
+    assert np.array_equal(out[:, :, pad:-pad], narrow)
+    assert not out[:, :, :pad].any() and not out[:, :, -pad:].any()
+    if static:
+        assert np.array_equal(np.concatenate([part_norms, out_norms], axis=1), narrow_norms)
