@@ -61,10 +61,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-# Integer-valued distribution parameters; everything else parses as float.
-_INT_PARAMS = {"n", "N", "K", "r", "j", "rmax"}
-
-
 class SpecError(ValueError):
     """Malformed CLI input text (a usage error, not a domain error)."""
 
@@ -86,6 +82,7 @@ def parse_dist_spec(text: str) -> DistributionSpec:
         )
     if not sep or not rest.strip():
         raise SpecError(f"distribution spec {text!r} has no parameters")
+    types = {**PARAM_KEYS[family], "tol": float, "rmax": int}
     params: dict = {}
     tol = None
     r_max = None
@@ -95,18 +92,18 @@ def parse_dist_spec(text: str) -> DistributionSpec:
         value = value.strip()
         if not eq or not key or not value:
             raise SpecError(f"malformed parameter token {token!r} in {text!r}")
+        if key not in types:
+            raise SpecError(f"parameter {key!r} does not belong to family {family!r}")
         try:
-            parsed = int(value) if key in _INT_PARAMS else float(value)
+            parsed = types[key](value)
         except ValueError:
             raise SpecError(f"parameter {key!r} has non-numeric value {value!r}") from None
         if key == "tol":
             tol = parsed
         elif key == "rmax":
             r_max = parsed
-        elif key in PARAM_KEYS[family]:
-            params[key] = parsed
         else:
-            raise SpecError(f"parameter {key!r} does not belong to family {family!r}")
+            params[key] = parsed
     kwargs = {} if tol is None else {"tail_tolerance": tol}
     return DistributionSpec(family, params, r_max=r_max, **kwargs)
 

@@ -5,12 +5,19 @@ families (poisson, binomial, hypergeometric, negative binomial,
 geometric, constant), tail truncation to an effective maximal jump
 with renormalization, moments of the truncated law, and inverse-CDF
 sampling over the truncated support.
+
+Each family is one row of ``_FAMILIES``: its typed parameters, its
+domain, its masses m_0, m_1, ... as one stream, and its closed-form
+mean and variance.  Validation, the ``pmf_*`` functions, ``family_pmf``,
+``family_mean_variance`` and ``truncate`` all read the row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import count, islice, repeat
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,18 +36,6 @@ __all__ = [
     "sample",
 ]
 
-FAMILIES = ("poisson", "binomial", "hypergeom", "negbinom", "geometric", "constant")
-
-# Required parameter keys per family, in canonical rendering order.
-PARAM_KEYS = {
-    "poisson": ("lambda",),
-    "binomial": ("n", "p"),
-    "hypergeom": ("N", "K", "n"),
-    "negbinom": ("r", "p"),
-    "geometric": ("p",),
-    "constant": ("j",),
-}
-
 DEFAULT_TAIL_TOLERANCE = 1e-4
 
 # Hard cap on the truncation search; no supported parameterization gets
@@ -52,43 +47,152 @@ _MAX_SUPPORT_SCAN = 10_000
 # logarithm: the linear forms overflow (lam**k, k!, or a binomial
 # coefficient converted to float) long before the mass itself leaves the
 # float range.  math.log takes the exact integer coefficient at any size.
+# Streams step each coefficient from the last, C(n,k+1) = C(n,k)*(n-k)//(k+1),
+# which is exact: it is the integer math.comb(n, k+1) gives, so every mass
+# keeps its bits at one big-integer step per k instead of a fresh math.comb.
+
+
+def _poisson_masses(lam: float) -> Iterator[float]:
+    for k in count():
+        yield math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+
+
+def _binomial_masses(n: int, p: float) -> Iterator[float]:
+    coef, log_p, log_q = 1, math.log(p), math.log1p(-p)
+    for k in range(n + 1):
+        yield math.exp(math.log(coef) + k * log_p + (n - k) * log_q)
+        coef = coef * (n - k) // (k + 1)
+
+
+def _hypergeometric_masses(N: int, K: int, n: int) -> Iterator[float]:
+    # C(K,k) * C(N-K,n-k) / C(N,n) on the support [max(0, n+K-N), min(n, K)].
+    low = max(0, n + K - N)
+    drawn, missed, total = math.comb(K, low), math.comb(N - K, n - low), math.comb(N, n)
+    yield from repeat(0.0, low)
+    for k in range(low, min(n, K) + 1):
+        yield drawn * missed / total
+        drawn = drawn * (K - k) // (k + 1)
+        missed = missed * (n - k) // (N - K - n + k + 1)
+
+
+def _negative_binomial_masses(r: int, p: float) -> Iterator[float]:
+    coef, log_failures, log_p = 1, r * math.log1p(-p), math.log(p)
+    for k in count():
+        yield math.exp(math.log(coef) + log_failures + k * log_p)
+        coef = coef * (k + r) // (k + 1)
+
+
+def _geometric_masses(p: float) -> Iterator[float]:
+    for k in count():
+        yield p * (1 - p) ** k
+
+
+def _constant_masses(j: int) -> Iterator[float]:
+    yield from repeat(0.0, j)
+    yield 1.0
+
+
+class _Family(NamedTuple):
+    params: dict  # parameter name -> type, in canonical rendering order
+    domain: str  # what ``valid`` checks, as error messages state it
+    valid: Callable[..., bool]
+    masses: Callable[..., Iterator[float]]  # m_0, m_1, ...; ends where a bounded support does
+    mean_variance: Callable[..., tuple[float, float]]
+    bounded: bool
+
+
+# Each callable takes the parameters positionally, in ``params`` order.
+_FAMILIES = {
+    "poisson": _Family(
+        {"lambda": float}, "lambda > 0", lambda lam: lam > 0,
+        _poisson_masses, lambda lam: (lam, lam), bounded=False,
+    ),
+    "binomial": _Family(
+        {"n": int, "p": float}, "n >= 1 and 0 < p < 1", lambda n, p: n >= 1 and 0 < p < 1,
+        _binomial_masses, lambda n, p: (n * p, n * p * (1 - p)), bounded=True,
+    ),
+    # N == 1 forces the point mass at 1, where the (N - n) factor is 0.
+    "hypergeom": _Family(
+        {"N": int, "K": int, "n": int}, "0 < K <= N and 0 < n <= N",
+        lambda N, K, n: 0 < K <= N and 0 < n <= N, _hypergeometric_masses,
+        lambda N, K, n: (n * K / N, n * K / N * (N - K) / N * (N - n) / max(N - 1, 1)),
+        bounded=True,
+    ),
+    "negbinom": _Family(
+        {"r": int, "p": float}, "r >= 1 and 0 < p < 1", lambda r, p: r >= 1 and 0 < p < 1,
+        _negative_binomial_masses, lambda r, p: (p * r / (1 - p), p * r / (1 - p) ** 2),
+        bounded=False,
+    ),
+    "geometric": _Family(
+        {"p": float}, "0 < p < 1", lambda p: 0 < p < 1,
+        _geometric_masses, lambda p: ((1 - p) / p, (1 - p) / p**2), bounded=False,
+    ),
+    "constant": _Family(
+        {"j": int}, "j >= 0", lambda j: j >= 0,
+        _constant_masses, lambda j: (float(j), 0.0), bounded=True,
+    ),
+}
+
+FAMILIES = tuple(_FAMILIES)
+
+# Parameter names per family, in canonical rendering order, with their types.
+PARAM_KEYS = {family: row.params for family, row in _FAMILIES.items()}
+
+
+def _check_value(name: str, value, kind: type) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite ``kind``.
+
+    An int passes as a float; a bool passes as neither.
+    """
+    typed = isinstance(value, (int, kind)) and not isinstance(value, bool)
+    if not typed or not -math.inf < value < math.inf:
+        raise ValueError(f"parameter {name!r} must be a finite {kind.__name__}, got {value!r}")
+
+
+def _row_args(family: str, params: dict) -> tuple[_Family, list]:
+    """The row of ``family`` and ``params`` in its order, after checking both."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown distribution family {family!r}")
+    row = _FAMILIES[family]
+    missing = [key for key in row.params if key not in params]
+    if missing:
+        raise ValueError(f"{family} spec missing parameter(s) {missing}")
+    extra = [key for key in params if key not in row.params]
+    if extra:
+        raise ValueError(f"{family} spec has unknown parameter(s) {extra}")
+    for key, kind in row.params.items():
+        _check_value(key, params[key], kind)
+    args = [params[key] for key in row.params]
+    if not row.valid(*args):
+        raise ValueError(f"{family} needs {row.domain}, got {params}")
+    return row, args
+
+
+def _pmf(family: str, params: dict, k: int, k_max: float = math.inf) -> float:
+    """Mass at ``k`` of ``family`` after checking ``params`` and 0 <= k <= k_max."""
+    row, args = _row_args(family, params)
+    if not 0 <= k <= k_max:
+        raise ValueError(f"{family} count must be in [0, {k_max}], got {k}")
+    return next(islice(row.masses(*args), k, None), 0.0)
 
 
 def pmf_poisson(lam: float, k: int) -> float:
     """Poisson mass e^(-lam) * lam^k / k!."""
-    if lam <= 0:
-        raise ValueError(f"poisson rate must be positive, got {lam}")
-    if k < 0:
-        raise ValueError(f"poisson count must be non-negative, got {k}")
-    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+    return _pmf("poisson", {"lambda": lam}, k)
 
 
 def pmf_binomial(n: int, p: float, k: int) -> float:
-    """Binomial mass C(n,k) * p^k * (1-p)^(n-k)."""
-    if not 0 < p < 1:
-        raise ValueError(f"binomial success probability must be in (0,1), got {p}")
-    if n < 1:
-        raise ValueError(f"binomial trial count must be >= 1, got {n}")
-    if k < 0 or k > n:
-        raise ValueError(f"binomial count must be in [0, {n}], got {k}")
-    return math.exp(math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p))
+    """Binomial mass C(n,k) * p^k * (1-p)^(n-k), k in [0, n]."""
+    return _pmf("binomial", {"n": n, "p": p}, k, n)
 
 
 def pmf_hypergeometric(N: int, K: int, n: int, k: int) -> float:
-    """Hypergeometric mass C(K,k) * C(N-K,n-k) / C(N,n).
+    """Hypergeometric mass C(K,k) * C(N-K,n-k) / C(N,n), k in [0, n].
 
     Returns 0.0 for k in [0, n] but outside the support
     [max(0, n+K-N), min(n, K)].
     """
-    if not 0 < K <= N:
-        raise ValueError(f"need 0 < K <= N, got K={K}, N={N}")
-    if not 0 < n <= N:
-        raise ValueError(f"need 0 < n <= N, got n={n}, N={N}")
-    if k < 0 or k > n:
-        raise ValueError(f"hypergeometric count must be in [0, {n}], got {k}")
-    if k > K or n - k > N - K:
-        return 0.0
-    return math.comb(K, k) * math.comb(N - K, n - k) / math.comb(N, n)
+    return _pmf("hypergeom", {"N": N, "K": K, "n": n}, k, n)
 
 
 def pmf_negative_binomial(r: int, p: float, k: int) -> float:
@@ -97,31 +201,22 @@ def pmf_negative_binomial(r: int, p: float, k: int) -> float:
     k counts successes (probability p each) accumulated before the
     r-th failure.
     """
-    if r < 1:
-        raise ValueError(f"failure target r must be >= 1, got {r}")
-    if not 0 < p < 1:
-        raise ValueError(f"success probability must be in (0,1), got {p}")
-    if k < 0:
-        raise ValueError(f"success count must be non-negative, got {k}")
-    return math.exp(math.log(math.comb(k + r - 1, k)) + r * math.log1p(-p) + k * math.log(p))
+    return _pmf("negbinom", {"r": r, "p": p}, k)
 
 
 def pmf_geometric(p: float, k: int) -> float:
     """Geometric mass p * (1-p)^k, k failures before the first success."""
-    if not 0 < p < 1:
-        raise ValueError(f"success probability must be in (0,1), got {p}")
-    if k < 0:
-        raise ValueError(f"failure count must be non-negative, got {k}")
-    return p * (1 - p) ** k
+    return _pmf("geometric", {"p": p}, k)
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
     """A jump-length distribution family with its parameters.
 
-    ``params`` holds the family-specific values keyed as in PARAM_KEYS.
-    ``tail_tolerance`` bounds the probability mass allowed above the
-    effective maximal jump.  ``r_max``, when set, pins the effective
+    ``params`` holds the family-specific values keyed as in PARAM_KEYS,
+    each a finite value of its key's type (an int also serves as a
+    float).  ``tail_tolerance`` bounds the probability mass allowed above
+    the effective maximal jump.  ``r_max``, when set, pins the effective
     maximal jump instead of deriving it from the tolerance (used by the
     unit-mean Poisson preset that cuts at 5).
     """
@@ -132,38 +227,15 @@ class DistributionSpec:
     r_max: int | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown distribution family {self.family!r}")
-        missing = [key for key in PARAM_KEYS[self.family] if key not in self.params]
-        if missing:
-            raise ValueError(f"{self.family} spec missing parameter(s) {missing}")
-        extra = [key for key in self.params if key not in PARAM_KEYS[self.family]]
-        if extra:
-            raise ValueError(f"{self.family} spec has unknown parameter(s) {extra}")
+        _row_args(self.family, self.params)
         if not 0 < self.tail_tolerance < 1:
             raise ValueError(
                 f"tail tolerance must be in (0,1), got {self.tail_tolerance}"
             )
-        if self.r_max is not None and self.r_max < 0:
-            raise ValueError(f"r_max must be non-negative, got {self.r_max}")
-        self._validate_params()
-
-    def _validate_params(self):
-        p = self.params
-        if self.family == "poisson":
-            if p["lambda"] <= 0:
-                raise ValueError(f"poisson mean must be positive, got {p['lambda']}")
-        elif self.family == "binomial":
-            pmf_binomial(p["n"], p["p"], 0)
-        elif self.family == "hypergeom":
-            pmf_hypergeometric(p["N"], p["K"], p["n"], 0)
-        elif self.family == "negbinom":
-            pmf_negative_binomial(p["r"], p["p"], 0)
-        elif self.family == "geometric":
-            pmf_geometric(p["p"], 0)
-        elif self.family == "constant":
-            if int(p["j"]) != p["j"] or p["j"] < 0:
-                raise ValueError(f"constant jump must be a non-negative integer, got {p['j']}")
+        if self.r_max is not None:
+            _check_value("r_max", self.r_max, int)
+            if self.r_max < 0:
+                raise ValueError(f"r_max must be non-negative, got {self.r_max}")
 
     def spec_string(self) -> str:
         """Canonical ``family:key=value,...`` form (round-trips through the CLI)."""
@@ -189,57 +261,13 @@ def _render_value(value) -> str:
 
 def family_pmf(spec: DistributionSpec, k: int) -> float:
     """Raw (untruncated) mass of ``spec`` at jump length k >= 0."""
-    p = spec.params
-    if spec.family == "poisson":
-        return pmf_poisson(p["lambda"], k)
-    if spec.family == "binomial":
-        return pmf_binomial(p["n"], p["p"], k) if k <= p["n"] else 0.0
-    if spec.family == "hypergeom":
-        if k > p["n"]:
-            return 0.0
-        return pmf_hypergeometric(p["N"], p["K"], p["n"], k)
-    if spec.family == "negbinom":
-        return pmf_negative_binomial(p["r"], p["p"], k)
-    if spec.family == "geometric":
-        return pmf_geometric(p["p"], k)
-    if spec.family == "constant":
-        return 1.0 if k == int(p["j"]) else 0.0
-    raise ValueError(f"unknown family {spec.family!r}")
-
-
-def support_max(spec: DistributionSpec) -> int | None:
-    """Largest jump with nonzero mass, or None for unbounded families."""
-    p = spec.params
-    if spec.family == "binomial":
-        return int(p["n"])
-    if spec.family == "hypergeom":
-        return min(int(p["n"]), int(p["K"]))
-    if spec.family == "constant":
-        return int(p["j"])
-    return None
+    return _pmf(spec.family, spec.params, k)
 
 
 def family_mean_variance(spec: DistributionSpec) -> tuple[float, float]:
     """Closed-form mean and variance of the untruncated distribution."""
-    p = spec.params
-    if spec.family == "poisson":
-        return p["lambda"], p["lambda"]
-    if spec.family == "binomial":
-        n, q = p["n"], p["p"]
-        return n * q, n * q * (1 - q)
-    if spec.family == "hypergeom":
-        N, K, n = p["N"], p["K"], p["n"]
-        mean = n * K / N
-        return mean, mean * (N - K) / N * (N - n) / (N - 1)
-    if spec.family == "negbinom":
-        r, q = p["r"], p["p"]
-        return q * r / (1 - q), q * r / (1 - q) ** 2
-    if spec.family == "geometric":
-        q = p["p"]
-        return (1 - q) / q, (1 - q) / q**2
-    if spec.family == "constant":
-        return float(p["j"]), 0.0
-    raise ValueError(f"unknown family {spec.family!r}")
+    row, args = _row_args(spec.family, spec.params)
+    return row.mean_variance(*args)
 
 
 @dataclass
@@ -277,20 +305,18 @@ def truncate(spec: DistributionSpec) -> TruncatedJumpPmf:
     their full support with zero tail.  ``spec.r_max`` overrides the
     tolerance rule when set.
     """
-    bound = support_max(spec)
+    row, args = _row_args(spec.family, spec.params)
+    masses = row.masses(*args)
     if spec.r_max is not None:
-        r = spec.r_max if bound is None else min(spec.r_max, bound)
-        raw = [family_pmf(spec, k) for k in range(r + 1)]
+        raw = list(islice(masses, spec.r_max + 1))
         tail = max(0.0, 1.0 - math.fsum(raw))
-    elif bound is not None:
-        r = bound
-        raw = [family_pmf(spec, k) for k in range(r + 1)]
-        tail = 0.0
+    elif row.bounded:
+        raw, tail = list(masses), 0.0
     else:
         raw: list[float] = []
 
         def tail_ok(k: int) -> bool:
-            raw.extend(family_pmf(spec, i) for i in range(len(raw), k + 1))
+            raw.extend(islice(masses, max(0, k + 1 - len(raw))))
             return 1.0 - math.fsum(raw[: k + 1]) <= spec.tail_tolerance
 
         # Exact prefix sums never decrease in k, so tail_ok is monotone:
@@ -306,15 +332,14 @@ def truncate(spec: DistributionSpec) -> TruncatedJumpPmf:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if tail_ok(mid) else (mid, hi)
-        r = hi
-        raw = raw[: r + 1]
+        raw = raw[: hi + 1]
         tail = max(0.0, 1.0 - math.fsum(raw))
 
     total = math.fsum(raw)
     if total <= 0.0:
         raise ValueError(f"truncated support of {spec} carries no mass")
     probs = np.array(raw, dtype=np.float64) / total
-    return TruncatedJumpPmf(probs=probs, r_max=r, raw_tail_mass=tail, spec=spec)
+    return TruncatedJumpPmf(probs=probs, r_max=len(raw) - 1, raw_tail_mass=tail, spec=spec)
 
 
 def moments(pmf: TruncatedJumpPmf) -> tuple[float, float]:

@@ -322,3 +322,19 @@ class TestExitCodes:
     def test_missing_input_file_is_numerical(self, tmp_path):
         code = main(["fit", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x")])
         assert code == EXIT_DOMAIN
+
+
+class TestLargeAndNonFiniteLaws:
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    def test_wide_binomial_runs_in_both_modes(self, tmp_path, mode):
+        code = main(["ensemble", "--T", "3", "--n", "2", "--dist", "binomial:n=20000,p=0.5",
+                     "--mode", mode, "--out", str(tmp_path / "x")])
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_is_numerical_and_writes_nothing(self, tmp_path, capsys, value):
+        code = main(["ensemble", "--T", "4", "--n", "3", "--dist",
+                     f"poisson:lambda={value},rmax=5", "--out", str(tmp_path / "x")])
+        assert code == EXIT_DOMAIN
+        assert "'lambda'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -1,11 +1,17 @@
 """Tests for the jump-length distribution families and truncation."""
 
 import math
+import time
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jumpwalk.cli import parse_dist_spec
 from jumpwalk.distributions import (
+    _FAMILIES,
     DistributionSpec,
     family_mean_variance,
     family_pmf,
@@ -283,3 +289,184 @@ class TestSampling:
         for j, p in enumerate(pmf.probs):
             band = 4.0 * math.sqrt(p * (1 - p) / n)
             assert abs(counts[j] / n - p) < band, f"bin {j} off by more than 4 se"
+
+
+def _direct_masses(family, args, count):
+    """The first ``count`` raw masses, each from its own math.comb or lgamma.
+
+    Bounded families stop at the end of their support.
+    """
+    if family == "poisson":
+        (lam,) = args
+        return [math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in range(count)]
+    if family == "binomial":
+        n, p = args
+        return [
+            math.exp(math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p))
+            for k in range(min(count, n + 1))
+        ]
+    if family == "hypergeom":
+        # math.comb(N-K, n-k) is 0 below the support's start n+K-N.
+        N, K, n = args
+        return [
+            math.comb(K, k) * math.comb(N - K, n - k) / math.comb(N, n)
+            for k in range(min(count, min(n, K) + 1))
+        ]
+    if family == "negbinom":
+        r, p = args
+        return [
+            math.exp(math.log(math.comb(k + r - 1, k)) + r * math.log1p(-p) + k * math.log(p))
+            for k in range(count)
+        ]
+    if family == "geometric":
+        (p,) = args
+        return [p * (1 - p) ** k for k in range(count)]
+    (j,) = args
+    return [1.0 if k == j else 0.0 for k in range(min(count, j + 1))]
+
+
+_PROB = st.floats(min_value=1e-6, max_value=1 - 1e-6)
+_SIZE = st.integers(min_value=1, max_value=300)
+# Bounded supports stay below _STREAM_LENGTH, so the property reaches their end.
+_STREAM_LENGTH = 400
+_ARGS = {
+    "poisson": st.tuples(st.floats(min_value=1e-3, max_value=200.0)),
+    "binomial": st.tuples(_SIZE, _PROB),
+    "hypergeom": _SIZE.flatmap(
+        lambda N: st.tuples(st.just(N), st.integers(1, N), st.integers(1, N))
+    ),
+    "negbinom": st.tuples(_SIZE, _PROB),
+    "geometric": st.tuples(_PROB),
+    "constant": st.tuples(st.integers(min_value=0, max_value=300)),
+}
+
+
+def _stream_hex(family, args, count=_STREAM_LENGTH):
+    return [m.hex() for m in islice(_FAMILIES[family].masses(*args), count)]
+
+
+class TestMassStreams:
+    @pytest.mark.parametrize("family", _ARGS)
+    @settings(deadline=None, max_examples=50)
+    @given(data=st.data())
+    def test_stream_matches_direct_evaluation_bit_for_bit(self, family, data):
+        args = data.draw(_ARGS[family])
+        expected = _direct_masses(family, args, _STREAM_LENGTH)
+        assert _stream_hex(family, args) == [m.hex() for m in expected]
+
+    @pytest.mark.parametrize(
+        "family,args",
+        [
+            ("hypergeom", (50, 30, 40)),  # support [20, 30]
+            ("hypergeom", (9, 9, 4)),  # point mass at 4
+            ("hypergeom", (1, 1, 1)),
+            ("hypergeom", (2000, 1000, 500)),
+            ("binomial", (1, 0.5)),
+            ("binomial", (2000, 0.3)),
+            ("negbinom", (2000, 0.5)),
+            ("constant", (0,)),
+        ],
+    )
+    def test_support_edges_and_large_coefficients(self, family, args):
+        expected = _direct_masses(family, args, 2500)
+        assert _stream_hex(family, args, 2500) == [m.hex() for m in expected]
+
+    @pytest.mark.parametrize(
+        "text,cut",
+        [
+            ("binomial:n=20000,p=0.5", 20000),
+            ("hypergeom:N=20000,K=10000,n=5000", 5000),
+            ("negbinom:r=2000,p=0.5", 2242),
+        ],
+    )
+    def test_large_laws_truncate_in_linear_time(self, text, cut):
+        start = time.perf_counter()
+        pmf = truncate(parse_dist_spec(text))
+        assert time.perf_counter() - start < 10.0
+        assert pmf.r_max == cut
+        assert abs(math.fsum(pmf.probs) - 1.0) < 1e-12
+
+
+_VALID_PARAMS = {
+    "poisson": st.fixed_dictionaries(
+        {"lambda": st.floats(min_value=1e-300, max_value=1e300) | st.integers(1, 10**6)}
+    ),
+    "binomial": st.fixed_dictionaries({"n": st.integers(1, 10**9), "p": _PROB}),
+    "hypergeom": st.integers(1, 10**9).flatmap(
+        lambda N: st.fixed_dictionaries(
+            {"N": st.just(N), "K": st.integers(1, N), "n": st.integers(1, N)}
+        )
+    ),
+    "negbinom": st.fixed_dictionaries({"r": st.integers(1, 10**9), "p": _PROB}),
+    "geometric": st.fixed_dictionaries({"p": _PROB}),
+    "constant": st.fixed_dictionaries({"j": st.integers(0, 10**9)}),
+}
+
+
+@st.composite
+def _specs(draw):
+    family = draw(st.sampled_from(sorted(_VALID_PARAMS)))
+    tol = draw(st.none() | st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True))
+    r_max = draw(st.none() | st.integers(0, 10**6))
+    kwargs = {} if tol is None else {"tail_tolerance": tol}
+    return DistributionSpec(family, draw(_VALID_PARAMS[family]), r_max=r_max, **kwargs)
+
+
+class TestParameterTypes:
+    @settings(deadline=None)
+    @given(spec=_specs())
+    def test_spec_string_round_trips(self, spec):
+        assert parse_dist_spec(spec.spec_string()) == spec
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False])
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("poisson", {"lambda": 1.0}),
+            ("binomial", {"n": 2, "p": 0.5}),
+            ("hypergeom", {"N": 4, "K": 2, "n": 2}),
+            ("negbinom", {"r": 9, "p": 0.1}),
+            ("geometric", {"p": 0.5}),
+            ("constant", {"j": 1}),
+        ],
+    )
+    def test_non_finite_or_bool_values_are_rejected_by_key(self, family, params, bad):
+        for key in params:
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                DistributionSpec(family, {**params, key: bad})
+
+    @pytest.mark.parametrize(
+        "family,params,key",
+        [
+            ("binomial", {"n": 2.5, "p": 0.5}, "n"),
+            ("binomial", {"n": 2.0, "p": 0.5}, "n"),
+            ("hypergeom", {"N": 4.0, "K": 2, "n": 2}, "N"),
+            ("negbinom", {"r": "9", "p": 0.1}, "r"),
+            ("constant", {"j": 2.0}, "j"),
+        ],
+    )
+    def test_int_parameters_need_ints(self, family, params, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            DistributionSpec(family, params)
+
+    @pytest.mark.parametrize("r_max", [2.5, 5.0, True, math.nan])
+    def test_r_max_needs_an_int(self, r_max):
+        with pytest.raises(ValueError, match="'r_max'"):
+            DistributionSpec("poisson", {"lambda": 1.0}, r_max=r_max)
+
+    def test_pmf_functions_check_types(self):
+        with pytest.raises(ValueError, match="'n'"):
+            pmf_binomial(2.5, 0.5, 1)
+        with pytest.raises(ValueError, match="'lambda'"):
+            pmf_poisson(math.nan, 1)
+
+    def test_float_parameters_accept_ints(self):
+        by_int = truncate(DistributionSpec("poisson", {"lambda": 2}))
+        by_float = truncate(DistributionSpec("poisson", {"lambda": 2.0}))
+        assert by_int.r_max == by_float.r_max
+        np.testing.assert_array_equal(by_int.probs, by_float.probs)
+
+    def test_hypergeometric_point_mass_at_one(self):
+        spec = DistributionSpec("hypergeom", {"N": 1, "K": 1, "n": 1})
+        assert family_mean_variance(spec) == (1.0, 0.0)
+        np.testing.assert_array_equal(truncate(spec).probs, [0.0, 1.0])
