@@ -28,6 +28,12 @@ A run from the origin is the same path from T = 0.  Any other call drops
 the checkpoint before it starts, a call that raises leaves none, walkers
 whose tables outgrow ``_CHECKPOINT_BYTES`` are not kept, and
 ``release_checkpoint`` drops it on request.
+
+With several workers, shard k of every call goes to the same pinned
+worker process, so each worker resumes its own checkpoint at the next
+grid T; a call with a single shard runs in the calling process.  On
+Linux the workers are forked, and a forked process starts with no
+checkpoint and a fresh lock; elsewhere they are spawned.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ from __future__ import annotations
 import atexit
 import itertools
 import math
+import os
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -520,7 +528,8 @@ _CHECKPOINT_LOCK = threading.Lock()
 def release_checkpoint() -> None:
     """Drop the walkers this process keeps for the next point, and their memory.
 
-    Pool workers keep their own until the pool shuts down.
+    Each pinned pool worker keeps the walkers of its own shard until the
+    pool shuts down; a single-shard call keeps them in this process.
     """
     global _CHECKPOINT
     with _CHECKPOINT_LOCK:
@@ -553,54 +562,73 @@ def _shard(
 _MODES = {"dynamic": False, "static": True}
 
 
-_POOL: ProcessPoolExecutor | None = None
-_POOL_WORKERS = 0
+# One single-process executor per worker: shard k of every call goes to
+# executor k, so each worker resumes its own checkpoint at the next grid T.
+_POOL: list[ProcessPoolExecutor] = []
 
 
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    """The shared worker pool, rebuilt when the count changes or it broke.
+def _get_pool(workers: int) -> list[ProcessPoolExecutor]:
+    """The pinned workers, rebuilt when the count changes or one of them broke.
 
-    A worker that dies (killed, or ``os._exit``) marks the executor broken
-    for good; ``_broken`` is the executor's own record of that.
+    A worker that dies (killed, or ``os._exit``) marks its executor broken
+    for good; ``_broken`` is the executor's own record of that.  On Linux
+    workers are forked, so they start with numpy and this package already
+    imported and see the module as it was at fork time; elsewhere they are
+    spawned and import it afresh.
     """
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    global _POOL, _POOL_WORKERS
-    if _POOL is None or _POOL_WORKERS != workers or _POOL._broken:
-        if _POOL is not None:
-            _POOL.shutdown()
-        _POOL = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
-        _POOL_WORKERS = workers
+    global _POOL
+    if len(_POOL) != workers or any(executor._broken for executor in _POOL):
+        _shutdown_pool()
+        context = get_context("fork" if sys.platform == "linux" else "spawn")
+        _POOL = [ProcessPoolExecutor(max_workers=1, mp_context=context) for _ in range(workers)]
     return _POOL
 
 
 def _shutdown_pool():
+    """Join every pinned worker and forget the pool."""
     global _POOL
-    if _POOL is not None:
-        _POOL.shutdown()
-        _POOL = None
+    pool, _POOL = _POOL, []
+    for executor in pool:
+        executor.shutdown()
 
 
 atexit.register(_shutdown_pool)
+
+
+def _after_fork_in_child():
+    """A forked process keeps no walkers, lock state or workers of its parent.
+
+    Another thread of the parent may hold the lock at fork time, and the
+    parent's executors belong to the parent.
+    """
+    global _CHECKPOINT, _CHECKPOINT_LOCK, _POOL
+    _CHECKPOINT, _CHECKPOINT_LOCK, _POOL = None, threading.Lock(), []
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _collect(static, pmf, T, n, master_seed, workers) -> tuple[list[float], list[float]]:
     """Sigmas and norm deviations of realizations 0..n-1, in index order.
 
     Each worker gets one contiguous shard: realizations cost alike, and
-    larger shards make larger blocks.
+    larger shards make larger blocks.  A single shard runs in this process.
     """
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     task = partial(_shard, static=static, pmf=pmf, T=T, master_seed=master_seed)
-    if workers == 1:
-        return task(range(n))
     count = min(n, workers)
+    if count == 1:
+        return task(range(n))
     shards = [range(n * k // count, n * (k + 1) // count) for k in range(count)]
-    results = list(_get_pool(workers).map(task, shards))
+    futures = [executor.submit(task, shard) for executor, shard in zip(_get_pool(workers), shards)]
+    results = [future.result() for future in futures]
     return [s for r in results for s in r[0]], [d for r in results for d in r[1]]
 
 

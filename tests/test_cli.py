@@ -1,9 +1,14 @@
 """Tests for the command-line front end."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from jumpwalk import cli
 from jumpwalk.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -233,6 +238,17 @@ class TestCommands:
         w1 = (tmp_path / "w1_points.csv").read_bytes()
         w2 = (tmp_path / "w2_points.csv").read_bytes()
         assert w1 == w2
+
+    def test_a_two_worker_run_leaves_no_process_holding_its_output(self, tmp_path):
+        # Forked workers inherit stdout and stderr, so the piped run ends only
+        # once every worker has exited.
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "jumpwalk.cli", "table-classes", "--n", "4",
+             "--workers", "2", "--out", str(tmp_path / "c")],
+            capture_output=True, timeout=120, env=env,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
 
     def test_static_sweep_outputs(self, tmp_path, capsys):
         out = tmp_path / "st"

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -242,12 +245,110 @@ class TestQuenchedAverage:
 
 
 def test_broken_pool_is_replaced():
-    future = ensemble._get_pool(2).submit(os._exit, 1)
+    future = ensemble._get_pool(2)[0].submit(os._exit, 1)
     with pytest.raises(BrokenProcessPool):
         future.result(timeout=120)
     serial = quenched_average(POISSON1, 6, 16, master_seed=3)
     for _ in range(2):
         assert quenched_average(POISSON1, 6, 16, master_seed=3, workers=2) == serial
+
+
+linux_fork = pytest.mark.skipif(sys.platform != "linux", reason="workers fork only on Linux")
+
+
+@linux_fork
+def test_a_fork_while_the_checkpoint_lock_is_held_gets_cold_bits():
+    # A forked worker inherits the lock as the parent's threads left it; one
+    # inherited held would never be released in the worker.
+    serial = quenched_average(POISSON1, 6, 16, master_seed=3)
+    ensemble._shutdown_pool()
+    results = []
+    point = threading.Thread(
+        target=lambda: results.append(quenched_average(POISSON1, 6, 16, 3, workers=2)), daemon=True
+    )
+    try:
+        with ensemble._CHECKPOINT_LOCK:
+            point.start()
+            point.join(timeout=120)
+        assert not point.is_alive(), "a forked worker waits on the inherited lock"
+    finally:
+        if point.is_alive():
+            for child in multiprocessing.active_children():
+                child.kill()  # breaks the pool, so the point's thread ends
+    assert results == [serial]
+
+
+_ORIGINS: list[range] = []
+
+
+class _CountingWalkers(ensemble._Walkers):
+    """Walkers that record each shard started from the origin in this process."""
+
+    def __init__(self, indices, *args):
+        super().__init__(indices, *args)
+        _ORIGINS.append(indices)
+
+
+def _checkpoint_probe():
+    return ensemble._CHECKPOINT.T, _ORIGINS
+
+
+@linux_fork
+@pytest.mark.parametrize("static", [False, True], ids=["dynamic", "static"])
+def test_pinned_workers_resume_their_shard_at_every_grid_T(monkeypatch, static):
+    grid, n = [2, 4, 6, 8], 20
+    cold = [_cold_point(static, POISSON1, T, n, 5) for T in grid]
+    ensemble._shutdown_pool()
+    _ORIGINS.clear()
+    monkeypatch.setattr(ensemble, "_Walkers", _CountingWalkers)  # forked workers inherit it
+    try:
+        assert [_point(static, POISSON1, T, n, 5, workers=2) for T in grid] == cold
+        probes = [executor.submit(_checkpoint_probe) for executor in ensemble._get_pool(2)]
+        shards = [range(0, 10), range(10, 20)]
+        assert [probe.result(timeout=120) for probe in probes] == [(grid[-1], [s]) for s in shards]
+    finally:
+        ensemble._shutdown_pool()  # no worker keeps the patched class
+
+
+def _run_script(tmp_path, body):
+    """Run ``body`` as a script, without a main guard, in a fresh interpreter."""
+    script = tmp_path / "script.py"
+    script.write_text(
+        "from jumpwalk.distributions import DistributionSpec\n"
+        "import jumpwalk.ensemble as ensemble\n"
+        "POISSON1 = DistributionSpec('poisson', {'lambda': 1.0}, r_max=5)\n" + body
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ensemble.__file__).parents[1]))
+    # Output is piped: a worker left running would hold the pipes open past the timeout.
+    return subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120, env=env
+    )
+
+
+@linux_fork
+def test_a_script_without_a_main_guard_gets_two_worker_points(tmp_path):
+    done = _run_script(
+        tmp_path, "print(ensemble.quenched_average(POISSON1, 6, 16, 3, workers=2).mean_sigma.hex())\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [quenched_average(POISSON1, 6, 16, master_seed=3).mean_sigma.hex()]
+
+
+@linux_fork
+def test_a_spill_in_a_forked_worker_names_the_realization_and_seed(tmp_path):
+    done = _run_script(
+        tmp_path,
+        "draw = ensemble._site_jumps\n"
+        "def oversized(pmf, extent, seeds):\n"
+        "    jumps = draw(pmf, extent, seeds)\n"
+        "    jumps[1] = 2 * extent + 1\n"
+        "    return jumps\n"
+        "ensemble._site_jumps = oversized  # before the workers fork\n"
+        "ensemble.static_quenched_average(POISSON1, 3, 4, 5, workers=2)\n",
+    )
+    message = f"realization 1 (seed {derive_seed(5, 1)}): site-dependent shift at iteration 1"
+    assert done.returncode == 1
+    assert f"ValueError: {message}" in done.stderr
 
 
 class TestStaticQuenchedAverage:
@@ -396,8 +497,9 @@ def _cold_point(static, spec, T, n, master):
     n=st.integers(min_value=1, max_value=12),
     master=st.integers(min_value=0, max_value=2**64 - 1),
     static=st.booleans(),
-    # A patched budget only reaches this process, not spawned pool workers,
-    # so the one-row budget runs at workers=1.
+    # Forked pool workers see the module as it was when they were forked, so
+    # a patched budget need not reach them: the one-row budget runs at
+    # workers=1.
     workers_budget=st.sampled_from([(1, ensemble._BLOCK_BYTES), (1, 1), (2, ensemble._BLOCK_BYTES)]),
 )
 def test_resumed_points_equal_cold_points_bit_for_bit(law, grid, n, master, static, workers_budget):
