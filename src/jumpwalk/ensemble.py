@@ -4,48 +4,53 @@ Every realization gets its own seed derived statelessly from
 (master_seed, index) by a SplitMix64 round, and its own PCG64 uniform
 stream, so any number of workers produces the same draws.  A block's
 streams are seeded together: one vectorized SeedSequence pass gives
-every row the state ``np.random.PCG64(seed)`` starts from, and one
-reused generator draws each row from it.  Realizations are evolved in
-blocks, one (B, 2, W) table per block within ``_BLOCK_BYTES``, and every
-row evolves bit for bit as it would alone.  Static blocks hold as many
-rows as fit at the site map's width, but run each stretch of iterations
-in a table cut to the span their amplitude can reach, since a walker
-trapped by its map spans a few sites; dynamic tables are only as wide
-as the block's longest reach, so dynamic blocks are cut from the sampled
-jumps.  Each block's
-moments are formed at once and every row's dispersion is reduced with
-math.fsum, making the quenched mean bit-identical regardless of
-evaluation order, block size or worker count.
+every row the state ``np.random.PCG64(seed)`` starts from, and the rows
+then step together in uint64 arrays, drawing exactly the uniforms
+numpy's generator would, without importing ``numpy.random``.
+Realizations are evolved in blocks, one (B, 2, W) table per block within
+``_BLOCK_BYTES``, and every row evolves bit for bit as it would alone.
+Static blocks hold as many rows as fit at the site map's width, but run
+each stretch of iterations in a table cut to the span their amplitude
+can reach, since a walker trapped by its map spans a few sites; dynamic
+tables are only as wide as the block's longest reach, so dynamic blocks
+are cut from the sampled jumps.  Each block's moments are formed at once
+and every row's dispersion is reduced with math.fsum, making the
+quenched mean bit-identical regardless of evaluation order, block size
+or worker count.
 
 Each process keeps a checkpoint: the walkers of the shard it evolved
 last, their tables cut to the sites they span, with their reach and norm
 deviations.  A call for the same realizations at the same or a later T,
 such as a sweep's next grid point, resumes them: it draws only the new
-uniforms (static maps are drawn whole, as at the origin), widens each
-row center-aligned, cuts the rows into blocks afresh and runs only the
-remaining iterations, which gives the bits a run from the origin gives.
+uniforms, from the streams where the last call left them (static maps
+are drawn whole, as at the origin), widens each row center-aligned, cuts
+the rows into blocks afresh and runs only the remaining iterations,
+which gives the bits a run from the origin gives.
 A run from the origin is the same path from T = 0.  Any other call drops
 the checkpoint before it starts, a call that raises leaves none, walkers
 whose tables outgrow ``_CHECKPOINT_BYTES`` are not kept, and
 ``release_checkpoint`` drops it on request.
 
-With several workers, shard k of every call goes to the same pinned
-worker process, so each worker resumes its own checkpoint at the next
-grid T; a call with a single shard runs in the calling process.  On
-Linux the workers are forked, and a forked process starts with no
-checkpoint and a fresh lock; elsewhere they are spawned.
+With k workers the calling process runs shard 0 of every call, as a
+one-worker call runs all of them, and k - 1 pinned worker processes run
+shards 1 to k - 1, each over its own pipe, so every process resumes its
+own checkpoint at the next grid T.  On Linux the workers are forked, and
+a forked process starts with no checkpoint, fresh locks and none of its
+parent's workers; elsewhere they are spawned.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
+import functools
 import itertools
 import math
 import os
 import sys
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -56,7 +61,8 @@ from .scaling import site_std_devs
 from .walk import RowError, SiteJumpMap, _evolve, hadamard, initial_block, site_probabilities
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "Realization",
@@ -78,8 +84,8 @@ RNG_IDENTITY = "splitmix64+pcg64"
 # realizations as fit.  A block run keeps about three and a half tables'
 # worth alive (two amplitude buffers, the static target map and bincount
 # temporaries), so this bounds the memory blocks add to a run.  The
-# (rows, T) uniforms of a dynamic chunk, from which blocks are cut, fit it
-# too.
+# uniforms of a chunk of rows, from which blocks are cut (a dynamic chunk's
+# (rows, T), a static chunk's whole site maps), fit it too.
 _BLOCK_BYTES = 256 * 1024
 
 # Bytes of amplitude table the checkpoint may keep: the walkers of the last
@@ -131,7 +137,7 @@ class Realization:
 
 
 # numpy's SeedSequence with its default pool of four 32-bit words, and the
-# PCG64 multiplier: the constants _pcg64_states needs to reproduce
+# PCG64 multiplier: the constants _seeded needs to reproduce
 # np.random.PCG64(seed) without building a SeedSequence per seed.
 _POOL_SIZE = 4
 _HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -142,13 +148,13 @@ _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[np.uint32]:
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """The running multipliers of ``count`` successive SeedSequence hashes."""
     out = []
     for _ in range(count):
-        out.append(np.uint32(init))
+        out.append(init)
         init = (init * mult) & _MASK32
-    return out
+    return np.array(out, dtype=np.uint32)
 
 
 # mix_entropy hashes the four pool words, then every ordered pair of them;
@@ -157,72 +163,158 @@ _ENTROPY_CONSTS = _hash_constants(_HASH_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + 1)
 _STATE_CONSTS = _hash_constants(_HASH_B, _MULT_B, 2 * _POOL_SIZE + 1)
 
 
-def _hashmix(value: np.ndarray, consts: list[np.uint32], k: int) -> np.ndarray:
-    value = (value ^ consts[k]) * consts[k + 1]
-    return value ^ (value >> np.uint32(16))
+def _hashmix(values: np.ndarray, consts: np.ndarray, k: int, count: int) -> np.ndarray:
+    """SeedSequence's hashmix of ``count`` rows of ``values``, row i with hash k + i."""
+    values = (values ^ consts[k : k + count, None]) * consts[k + 1 : k + count + 1, None]
+    return values ^ (values >> np.uint32(16))
 
 
-def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
-    """The (state, inc) that ``np.random.PCG64(seed)`` starts from, per seed.
+# PCG64 stepped on arrays (O'Neill, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", HMC-CS-2014-0905), drawing exactly what numpy's PCG64 and
+# Generator.random draw.  A stream is the LCG s -> M*s + inc mod 2**128 with
+# the XSL-RR output, held as a row of four uint64 words: state high, state
+# low, inc high, inc low.  A 128-bit number in arithmetic is a (high, low)
+# pair of uint64 arrays that broadcast; products are formed from 32-bit
+# limbs, so no uint64 product overflows unseen.  k steps take s to
+# s + S_k*((M - 1)*s + inc), where S_k = 1 + M + ... + M**(k-1), since
+# M**k - 1 = (M - 1)*S_k.
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
+
+
+def _constant(value: int) -> tuple[np.uint64, np.uint64]:
+    return np.uint64(value >> 64), np.uint64(value & _MASK64)
+
+
+def _mul(a, b):
+    """a * b mod 2**128 for (high, low) pairs."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a0, a1 = a_lo & _LOW32, a_lo >> _SHIFT32
+    b0, b1 = b_lo & _LOW32, b_lo >> _SHIFT32
+    low = a0 * b0
+    mid = a1 * b0 + (low >> _SHIFT32)
+    cross = a0 * b1 + (mid & _LOW32)
+    carry = a1 * b1 + (mid >> _SHIFT32) + (cross >> _SHIFT32)  # a_lo * b_lo >> 64
+    return carry + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _add(a, b):
+    """a + b mod 2**128 for (high, low) pairs."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _seeded(seeds: list[int]) -> np.ndarray:
+    """(len(seeds), 4) streams: row r starts where ``np.random.PCG64(seeds[r])`` starts.
 
     One vectorized SeedSequence pass over all seeds (uint32 arithmetic
     wraps like numpy's own): each seed enters as its two 32-bit words
     padded with zeros to the pool size, which hashes exactly like numpy's
     one- or two-word entropy, since a missing word hashes as 0.  The
-    128-bit PCG64 seeding step then runs in Python ints.
+    128-bit PCG64 seeding step then runs on the words.
     """
     if not all(0 <= seed <= _MASK64 for seed in seeds):
         raise ValueError(f"realization seeds must be in [0, 2**64), got {seeds}")
     seeds64 = np.asarray(seeds, dtype=np.uint64).reshape(-1)
-    entropy = [seeds64 & np.uint64(_MASK32), seeds64 >> np.uint64(32)]
-    entropy = [word.astype(np.uint32) for word in entropy]
-    entropy += [np.zeros(len(seeds64), dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
-    pool = [_hashmix(word, _ENTROPY_CONSTS, k) for k, word in enumerate(entropy)]
+    entropy = np.zeros((_POOL_SIZE, len(seeds64)), dtype=np.uint32)
+    entropy[0], entropy[1] = seeds64 & np.uint64(_MASK32), seeds64 >> np.uint64(32)
+    pool = _hashmix(entropy, _ENTROPY_CONSTS, 0, _POOL_SIZE)
     k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed = _hashmix(pool[src], _ENTROPY_CONSTS, k)
-                mixed = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * hashed
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-                k += 1
-    words = np.stack(
-        [_hashmix(pool[i % _POOL_SIZE], _STATE_CONSTS, i) for i in range(2 * _POOL_SIZE)], axis=1
-    )
-    states = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in words.astype("<u4").view("<u8").tolist():
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        states.append((((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+    for src in range(_POOL_SIZE):  # each source word mixes into the others, in order
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        hashed = _hashmix(pool[src], _ENTROPY_CONSTS, k, len(dst))
+        mixed = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * hashed
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+        k += len(dst)
+    words = _hashmix(pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE], _STATE_CONSTS, 0, 2 * _POOL_SIZE)
+    words = np.ascontiguousarray(words.T.astype("<u4")).view("<u8")
+    seed_hi, seed_lo, inc_hi, inc_lo = np.split(words, 4, axis=1)
+    one = np.uint64(1)
+    inc = (inc_hi << one) | (inc_lo >> np.uint64(63)), (inc_lo << one) | one
+    state = _add(_mul(_add(inc, (seed_hi, seed_lo)), _constant(_PCG64_MULT)), inc)
+    return np.hstack([*state, *inc])
+
+
+def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
+    """The (state, inc) that ``np.random.PCG64(seed)`` starts from, per seed."""
+    return [(a << 64 | b, c << 64 | d) for a, b, c, d in _seeded(seeds).tolist()]
+
+
+def _offset(k: int) -> int:
+    """S_k = 1 + M + ... + M**(k-1) mod 2**128: (M**k - 1) / (M - 1), exactly,
+    from M**k by square-and-multiply modulo (M - 1) * 2**128.
+    """
+    return (pow(_PCG64_MULT, k, (_PCG64_MULT - 1) << 128) - 1) // (_PCG64_MULT - 1)
+
+
+@functools.cache
+def _offsets(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_1, ..., S_(2**bits) as a (high, low) pair of (1, 2**bits) rows.
+
+    The second half is the first one taken 2**(bits-1) steps on:
+    S_(h+j) = S_h + M**h * S_j.
+    """
+    if bits == 0:
+        return np.zeros((1, 1), np.uint64), np.ones((1, 1), np.uint64)
+    half = 1 << (bits - 1)
+    first = _offsets(bits - 1)
+    shifted = _mul(first, _constant(pow(_PCG64_MULT, half, 1 << 128)))
+    second = _add(shifted, _constant(_offset(half)))
+    return np.concatenate([first[0], second[0]], 1), np.concatenate([first[1], second[1]], 1)
+
+
+_MULT_LESS_ONE = _constant(_PCG64_MULT - 1)
+
+
+def _ahead(streams: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's state k steps on, s + S_k*((M - 1)*s + inc), for each S_k in ``offsets``."""
+    state, inc = (streams[:, 0:1], streams[:, 1:2]), (streams[:, 2:3], streams[:, 3:4])
+    return _add(state, _mul(_add(_mul(state, _MULT_LESS_ONE), inc), offsets))
+
+
+def _fill(streams: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` (rows, count) with each stream's next uniforms; advance ``streams`` past them.
+
+    Columns go in chunks of ``_BLOCK_BYTES / 32`` uniforms, whose
+    arithmetic keeps about nine chunk-sized uint64 arrays (2.3 times
+    ``_BLOCK_BYTES``) alive, however long the rows; each chunk steps on
+    from the states the chunk before left.  A uniform is the XSL-RR output
+    x = rotr64(hi ^ lo, hi >> 58) of the state after its step, taken to
+    (x >> 11) * 2**-53.
+    """
+    rows, count = out.shape
+    width = max(1, min(count, _BLOCK_BYTES // (32 * max(1, rows))))
+    table = _offsets((width - 1).bit_length())
+    for start in range(0, count, width):
+        stop = min(start + width, count)
+        hi, lo = _ahead(streams, (table[0][:, : stop - start], table[1][:, : stop - start]))
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        x = (x >> rot) | (x << (-rot & np.uint64(63)))
+        np.multiply(x >> np.uint64(11), 2.0**-53, out=out[:, start:stop])
+        streams[:, 0:1], streams[:, 1:2] = hi[:, -1:], lo[:, -1:]
+        del hi, lo, x, rot  # before the next chunk's arrays are made
 
 
 def _draws(states: list[tuple[int, int]], skip: int, count: int) -> np.ndarray:
     """(len(states), count) uniforms: row r continues the PCG64 stream that
-    starts at states[r], past its first ``skip`` draws.
-
-    One PCG64 is reused for the whole block: each row sets its state,
-    advances past the draws already used (one 64-bit output per uniform),
-    then draws.
+    starts at states[r], past its first ``skip`` draws (one 64-bit output
+    per uniform), as ``np.random.PCG64`` after ``advance(skip)`` draws them.
     """
+    words = [(s >> 64, s & _MASK64, i >> 64, i & _MASK64) for s, i in states]
+    streams = np.array(words, dtype=np.uint64).reshape(-1, 4)
+    if skip:
+        streams[:, 0:1], streams[:, 1:2] = _ahead(streams, _constant(_offset(skip)))
     us = np.empty((len(states), count))
-    bits = np.random.PCG64(0)
-    draw = np.random.Generator(bits).random
-    for row, (state, inc) in zip(us, states):
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        if skip:
-            bits.advance(skip)
-        draw(out=row)
+    _fill(streams, us)
     return us
 
 
 def _uniforms(seeds: list[int], count: int) -> np.ndarray:
     """(len(seeds), count) uniforms: row r opens the PCG64 stream of seeds[r]."""
-    return _draws(_pcg64_states(seeds), 0, count)
+    us = np.empty((len(seeds), count))
+    _fill(_seeded(seeds), us)
+    return us
 
 
 def _step_jumps(pmf: TruncatedJumpPmf, T: int, seeds: list[int]) -> np.ndarray:
@@ -419,8 +511,9 @@ class _Walkers:
 
     Rows are the realizations in index order.  ``tables`` holds their
     amplitudes as consecutive (B, 2, W) blocks, each cut to the span its
-    rows reach; ``reach`` holds each row's sum of jumps so far (dynamic)
-    and ``devs`` each row's max |norm - 1| so far (static).  A new
+    rows reach; ``reach`` holds each row's sum of jumps so far and
+    ``streams`` each row's PCG64 stream past the uniforms drawn so far
+    (dynamic), and ``devs`` each row's max |norm - 1| so far (static).  A new
     instance is every row at the origin at T = 0, with no tables: its
     blocks start from the origin, and otherwise run the same path as
     resumed ones.
@@ -433,6 +526,7 @@ class _Walkers:
         self.reach = np.zeros(len(indices), dtype=np.int64)
         self.devs = np.zeros(len(indices))
         self.tables: list[np.ndarray] | None = []
+        self.streams: np.ndarray | None = None
 
     def seeds(self, rows: slice) -> list[int]:
         return [derive_seed(self.master_seed, i) for i in self.indices[rows]]
@@ -444,10 +538,13 @@ class _Walkers:
         the given extent.  A static table is as wide as the site map,
         extent T*r_max, so static blocks hold as many rows as fit
         ``_BLOCK_BYTES`` at that width; their jumps are the rows' whole
-        maps, drawn afresh.  A dynamic table is only as wide as its
+        maps, drawn afresh for a chunk of rows whose maps fit the budget
+        as uniforms (about four blocks), so the streams are seeded and
+        drawn in fewer, larger calls.  A dynamic table is only as wide as its
         longest reach, usually far below T*r_max: the new jumps are drawn
-        for a chunk of rows whose uniforms fit the budget, past the draws
-        already spent, and the chunk is cut greedily into blocks whose
+        for a chunk of rows whose uniforms fit the budget, from the
+        streams where the draws already spent left them (seeded at the
+        first call), and the chunk is cut greedily into blocks whose
         tables fit it at the rows' reach after T.  A block always holds
         at least one row.  Each chunk is read before any of its rows is
         yielded.
@@ -456,15 +553,22 @@ class _Walkers:
         if self.static:
             extent = max(1, T * self.pmf.r_max)
             size = max(1, _BLOCK_BYTES // _table_bytes(1, extent))
-            for start in range(0, n, size):
-                rows = slice(start, min(start + size, n))
-                yield rows, _site_jumps(self.pmf, extent, self.seeds(rows)), extent
+            chunk = max(1, _BLOCK_BYTES // (8 * (2 * extent + 1)))
+            for start in range(0, n, chunk):
+                stop = min(start + chunk, n)
+                maps = _site_jumps(self.pmf, extent, self.seeds(slice(start, stop)))
+                for first in range(start, stop, size):
+                    rows = slice(first, min(first + size, stop))
+                    yield rows, maps[first - start : rows.stop - start], extent
             return
+        if self.streams is None:
+            self.streams = _seeded(self.seeds(slice(0, n)))
         size = max(1, _BLOCK_BYTES // (8 * max(1, T - done)))
         for start in range(0, n, size):
             stop = min(start + size, n)
-            states = _pcg64_states(self.seeds(slice(start, stop)))
-            jumps = sample_many(self.pmf, _draws(states, done, T - done))
+            us = np.empty((stop - start, T - done))
+            _fill(self.streams[start:stop], us)
+            jumps = sample_many(self.pmf, us)
             first, widest = 0, 0
             for row, reach in enumerate((self.reach[start:stop] + jumps.sum(axis=1)).tolist()):
                 if row > first and _table_bytes(row + 1 - first, max(widest, reach)) > _BLOCK_BYTES:
@@ -528,8 +632,9 @@ _CHECKPOINT_LOCK = threading.Lock()
 def release_checkpoint() -> None:
     """Drop the walkers this process keeps for the next point, and their memory.
 
-    Each pinned pool worker keeps the walkers of its own shard until the
-    pool shuts down; a single-shard call keeps them in this process.
+    This process keeps the walkers of shard 0, which is every realization
+    at one worker; each pinned worker keeps those of its own shard until
+    the pool shuts down.
     """
     global _CHECKPOINT
     with _CHECKPOINT_LOCK:
@@ -562,37 +667,121 @@ def _shard(
 _MODES = {"dynamic": False, "static": True}
 
 
-# One single-process executor per worker: shard k of every call goes to
-# executor k, so each worker resumes its own checkpoint at the next grid T.
-_POOL: list[ProcessPoolExecutor] = []
+# Pinned workers: this process runs shard 0 of every call and worker k runs
+# shard k + 1 over its own pipe, so each process resumes its own checkpoint
+# at the next grid T.  On Linux workers are forked, so they start with numpy
+# and this package already imported and see the module as it was at fork
+# time; elsewhere they are spawned and import it afresh.
+_START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
 
-def _get_pool(workers: int) -> list[ProcessPoolExecutor]:
-    """The pinned workers, rebuilt when the count changes or one of them broke.
-
-    A worker that dies (killed, or ``os._exit``) marks its executor broken
-    for good; ``_broken`` is the executor's own record of that.  On Linux
-    workers are forked, so they start with numpy and this package already
-    imported and see the module as it was at fork time; elsewhere they are
-    spawned and import it afresh.
+def _serve(conn: Connection) -> None:
+    """A pinned worker's loop: run each (task, arg) received, reply
+    (True, result) or (False, the exception raised), and return when the
+    caller's end of the pipe closes.
     """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+    while True:
+        try:
+            task, arg = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = True, task(arg)
+        except Exception as exc:
+            reply = False, exc
+        try:
+            conn.send(reply)
+        except OSError:  # the caller is gone
+            return
+
+
+def _broken() -> Exception:
+    from concurrent.futures.process import BrokenProcessPool
+
+    return BrokenProcessPool("a pinned worker died")
+
+
+@dataclass
+class _Worker:
+    """A pinned worker process and this process's end of its pipe.
+
+    ``lock`` is held from a request's send to the read of its reply, so a
+    thread never reads another thread's reply.  A pipe whose state is in
+    doubt is closed, which marks the worker dead.
+    """
+
+    process: BaseProcess
+    conn: Connection
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def alive(self) -> bool:
+        return not self.conn.closed and self.process.is_alive()
+
+    def send(self, task, arg) -> None:
+        try:
+            self.conn.send((task, arg))
+        except OSError as exc:
+            self.conn.close()
+            raise _broken() from exc
+        except BaseException:
+            self.conn.close()  # part of the request may be in the pipe
+            raise
+
+    def receive(self) -> tuple[bool, object]:
+        """(True, result) or (False, exception) for the request last sent."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            self.conn.close()
+            return False, _broken()
+        except BaseException:
+            self.conn.close()  # the reply may still come: no later request may read it
+            raise
+
+
+_POOL: list[_Worker] = []
+_POOL_LOCK = threading.Lock()
+
+
+def _get_pool(workers: int) -> list[_Worker]:
+    """The ``workers - 1`` pinned workers, rebuilt when the count changes or one died.
+
+    A worker joins the pool before it starts, so a forked worker closes
+    its copy of this process's end of its own pipe and of every earlier
+    worker's (see ``_after_fork_in_child``).
+    """
+    import multiprocessing
 
     global _POOL
-    if len(_POOL) != workers or any(executor._broken for executor in _POOL):
-        _shutdown_pool()
-        context = get_context("fork" if sys.platform == "linux" else "spawn")
-        _POOL = [ProcessPoolExecutor(max_workers=1, mp_context=context) for _ in range(workers)]
-    return _POOL
+    with _POOL_LOCK:
+        if len(_POOL) != workers - 1 or not all(worker.alive() for worker in _POOL):
+            pool, _POOL = _POOL, []
+            _join(pool)
+            context = multiprocessing.get_context(_START_METHOD)
+            for _ in range(workers - 1):
+                conn, theirs = context.Pipe()
+                process = context.Process(target=_serve, args=(theirs,), daemon=True)
+                _POOL.append(_Worker(process, conn))
+                process.start()
+                theirs.close()
+        return _POOL
+
+
+def _join(pool: list[_Worker]) -> None:
+    """Close each worker's pipe once no request is in flight, and join the worker."""
+    for worker in pool:
+        with worker.lock:
+            worker.conn.close()
+        if worker.process.pid is not None:  # it started
+            worker.process.join()
 
 
 def _shutdown_pool():
     """Join every pinned worker and forget the pool."""
     global _POOL
-    pool, _POOL = _POOL, []
-    for executor in pool:
-        executor.shutdown()
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, []
+    _join(pool)
 
 
 atexit.register(_shutdown_pool)
@@ -601,11 +790,15 @@ atexit.register(_shutdown_pool)
 def _after_fork_in_child():
     """A forked process keeps no walkers, lock state or workers of its parent.
 
-    Another thread of the parent may hold the lock at fork time, and the
-    parent's executors belong to the parent.
+    Another thread of the parent may hold a lock at fork time.  The child
+    closes its copies of the parent's ends of the workers' pipes, so each
+    worker reads the end of its pipe, and exits, once the parent is gone.
     """
-    global _CHECKPOINT, _CHECKPOINT_LOCK, _POOL
-    _CHECKPOINT, _CHECKPOINT_LOCK, _POOL = None, threading.Lock(), []
+    global _CHECKPOINT, _CHECKPOINT_LOCK, _POOL, _POOL_LOCK
+    for worker in _POOL:
+        worker.conn.close()
+    _CHECKPOINT, _CHECKPOINT_LOCK = None, threading.Lock()
+    _POOL, _POOL_LOCK = [], threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -615,8 +808,12 @@ if hasattr(os, "register_at_fork"):
 def _collect(static, pmf, T, n, master_seed, workers) -> tuple[list[float], list[float]]:
     """Sigmas and norm deviations of realizations 0..n-1, in index order.
 
-    Each worker gets one contiguous shard: realizations cost alike, and
-    larger shards make larger blocks.  A single shard runs in this process.
+    Each process gets one contiguous shard: realizations cost alike, and
+    larger shards make larger blocks.  The shards past the first are sent
+    to the pinned workers, the first runs in this process, and every reply
+    sent for is read, also when this process's shard raises; the first
+    shard's error, in shard order, is raised.  A worker that dies raises
+    ``BrokenProcessPool``, and the next call replaces it.
     """
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
@@ -624,11 +821,18 @@ def _collect(static, pmf, T, n, master_seed, workers) -> tuple[list[float], list
         raise ValueError(f"need workers >= 1, got {workers}")
     task = partial(_shard, static=static, pmf=pmf, T=T, master_seed=master_seed)
     count = min(n, workers)
-    if count == 1:
-        return task(range(n))
     shards = [range(n * k // count, n * (k + 1) // count) for k in range(count)]
-    futures = [executor.submit(task, shard) for executor, shard in zip(_get_pool(workers), shards)]
-    results = [future.result() for future in futures]
+    replies: list[tuple[bool, object]] = []
+    with contextlib.ExitStack() as stack:
+        for worker, shard in zip(_get_pool(workers) if count > 1 else [], shards[1:]):
+            stack.enter_context(worker.lock)
+            worker.send(task, shard)
+            stack.callback(lambda worker=worker: replies.append(worker.receive()))
+        results = [task(shards[0])]
+    for ok, value in reversed(replies):  # the stack read them last worker first
+        if not ok:
+            raise value
+        results.append(value)
     return [s for r in results for s in r[0]], [d for r in results for d in r[1]]
 
 

@@ -43,7 +43,8 @@ def site_std_devs(sites: Sequence[float], probs: np.ndarray) -> list[float]:
     firsts = sites * probs
     seconds = sites * sites * probs
     out = []
-    for p, first, second in zip(probs.tolist(), firsts.tolist(), seconds.tolist()):
+    for p, first, second in zip(probs, firsts, seconds):  # one row's lists at a time
+        p, first, second = p.tolist(), first.tolist(), second.tolist()
         total = math.fsum(p)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"position distribution sums to {total}, not 1")

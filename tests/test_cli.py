@@ -250,6 +250,32 @@ class TestCommands:
         )
         assert done.returncode == EXIT_OK, done.stderr
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--dist", "poisson:lambda=1.0", "--paper-poisson1", "--grid", "4:24:+2"],
+            ["static-sweep", "--paper-poisson1", "--grid", "2:40:+2"],
+            ["table-classes", "--grid", "4:24:+2", "--workers", "2"],
+        ],
+        ids=["poisson1-sweep", "static-sweep", "table-classes"],
+    )
+    def test_a_run_never_imports_numpy_random(self, tmp_path, command):
+        # The engine steps its PCG64 streams itself; numpy.random would add
+        # its import time and memory to every run.
+        script = (
+            "import sys\n"
+            "from jumpwalk.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *command, "--n", "2", "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+
     def test_static_sweep_outputs(self, tmp_path, capsys):
         out = tmp_path / "st"
         code = main(

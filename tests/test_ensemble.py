@@ -4,9 +4,12 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from unittest import mock
@@ -91,6 +94,39 @@ class TestBlockSeeding:
         for seed, row in zip(seeds, uniforms):
             expected = np.random.Generator(np.random.PCG64(seed)).random(5)
             np.testing.assert_array_equal(row, expected)
+
+    # Columns are drawn in chunks of _BLOCK_BYTES // 32 over the rows.
+    _CHUNK = ensemble._BLOCK_BYTES // 32
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=3),
+        skip=st.integers(min_value=0, max_value=10**4),
+        count=st.integers(min_value=0, max_value=3 * _CHUNK),
+    )
+    @example(seeds=[0], skip=0, count=1)
+    @example(seeds=[1], skip=1, count=_CHUNK)
+    @example(seeds=[2**32 - 1], skip=10**4, count=_CHUNK + 1)
+    @example(seeds=[2**32], skip=0, count=2 * _CHUNK + 1)
+    @example(seeds=[2**64 - 1], skip=7, count=0)
+    @example(seeds=[0, 2**64 - 1, 2**32], skip=3, count=_CHUNK // 3 + 1)
+    def test_draws_follow_numpy_pcg64_past_the_skip(self, seeds, skip, count):
+        uniforms = ensemble._draws(ensemble._pcg64_states(seeds), skip, count)
+        assert uniforms.shape == (len(seeds), count)
+        for seed, row in zip(seeds, uniforms):
+            bits = np.random.PCG64(seed)
+            bits.advance(skip)
+            np.testing.assert_array_equal(row, np.random.Generator(bits).random(count))
+
+    def test_a_long_row_is_drawn_in_bounded_memory(self):
+        ensemble._uniforms([7], 10**6)  # the chunks' step table is built once per process
+        tracemalloc.start()
+        try:
+            ensemble._uniforms([7], 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6 + 3 * ensemble._BLOCK_BYTES  # the row and one chunk's arrays
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_is_rejected(self, seed):
@@ -244,10 +280,20 @@ class TestQuenchedAverage:
         assert abs(ordinate - line) / abs(line) < 0.15
 
 
+def _ask(worker, task, arg=None):
+    """task(arg) run by a pinned worker through its pipe; what it raised is raised."""
+    with worker.lock:
+        worker.send(task, arg)
+        assert worker.conn.poll(120), "no reply and no end of the pipe"
+        ok, value = worker.receive()
+    if not ok:
+        raise value
+    return value
+
+
 def test_broken_pool_is_replaced():
-    future = ensemble._get_pool(2)[0].submit(os._exit, 1)
     with pytest.raises(BrokenProcessPool):
-        future.result(timeout=120)
+        _ask(ensemble._get_pool(2)[0], os._exit, 1)
     serial = quenched_average(POISSON1, 6, 16, master_seed=3)
     for _ in range(2):
         assert quenched_average(POISSON1, 6, 16, master_seed=3, workers=2) == serial
@@ -269,12 +315,17 @@ def test_a_fork_while_the_checkpoint_lock_is_held_gets_cold_bits():
     try:
         with ensemble._CHECKPOINT_LOCK:
             point.start()
-            point.join(timeout=120)
+            deadline = time.monotonic() + 120
+            while not any(worker.process.pid for worker in ensemble._POOL):
+                assert time.monotonic() < deadline, "the worker never forked"
+                time.sleep(0.001)
+        # The point's own shard takes the lock now; the worker forked while it was held.
+        point.join(timeout=120)
         assert not point.is_alive(), "a forked worker waits on the inherited lock"
     finally:
         if point.is_alive():
             for child in multiprocessing.active_children():
-                child.kill()  # breaks the pool, so the point's thread ends
+                child.kill()  # the point's thread reads the end of the pipe and ends
     assert results == [serial]
 
 
@@ -289,7 +340,7 @@ class _CountingWalkers(ensemble._Walkers):
         _ORIGINS.append(indices)
 
 
-def _checkpoint_probe():
+def _checkpoint_probe(_):
     return ensemble._CHECKPOINT.T, _ORIGINS
 
 
@@ -303,11 +354,61 @@ def test_pinned_workers_resume_their_shard_at_every_grid_T(monkeypatch, static):
     monkeypatch.setattr(ensemble, "_Walkers", _CountingWalkers)  # forked workers inherit it
     try:
         assert [_point(static, POISSON1, T, n, 5, workers=2) for T in grid] == cold
-        probes = [executor.submit(_checkpoint_probe) for executor in ensemble._get_pool(2)]
-        shards = [range(0, 10), range(10, 20)]
-        assert [probe.result(timeout=120) for probe in probes] == [(grid[-1], [s]) for s in shards]
+        # this process holds shard 0 and the worker shard 1, each started once
+        assert _checkpoint_probe(None) == (grid[-1], [range(0, 10)])
+        assert _ask(ensemble._get_pool(2)[0], _checkpoint_probe) == (grid[-1], [range(10, 20)])
     finally:
         ensemble._shutdown_pool()  # no worker keeps the patched class
+
+
+@linux_fork
+def test_a_raising_shard_in_this_process_leaves_no_reply_unread(monkeypatch):
+    ensemble._shutdown_pool()
+    ensemble._get_pool(2)  # forked before the patch: the worker keeps the real walkers
+
+    def failing(self, T):
+        raise RuntimeError("shard 0 failed")
+
+    monkeypatch.setattr(ensemble._Walkers, "advance", failing)
+    with pytest.raises(RuntimeError, match="shard 0 failed"):
+        quenched_average(POISSON1, 4, 16, 3, workers=2)
+    monkeypatch.undo()
+    # An unread reply would hold shard 1 at T=4 and stand in for the next point's.
+    serial = quenched_average(POISSON1, 6, 16, master_seed=3)
+    assert quenched_average(POISSON1, 6, 16, 3, workers=2) == serial
+
+
+@linux_fork
+def test_a_spill_in_a_pinned_workers_shard_names_the_realization_and_seed(monkeypatch):
+    draw = ensemble._site_jumps
+    seed = derive_seed(5, 3)  # realization 3 is in shard 1 of four at workers=2
+
+    def oversized(pmf, extent, seeds):
+        jumps = draw(pmf, extent, seeds)
+        if seed in seeds:
+            jumps[seeds.index(seed)] = 2 * extent + 1
+        return jumps
+
+    ensemble._shutdown_pool()
+    monkeypatch.setattr(ensemble, "_site_jumps", oversized)  # before the worker forks
+    message = rf"realization 3 \(seed {seed}\): site-dependent shift at iteration 1"
+    try:
+        with pytest.raises(ValueError, match=message):
+            static_quenched_average(POISSON1, 3, 4, 5, workers=2)
+    finally:
+        ensemble._shutdown_pool()  # no worker keeps the patched draw
+
+
+def test_spawned_workers_give_the_serial_bits(monkeypatch):
+    # The start method of platforms other than Linux.
+    serial = quenched_average(POISSON1, 6, 16, master_seed=3)
+    ensemble._shutdown_pool()
+    monkeypatch.setattr(ensemble, "_START_METHOD", "spawn")
+    try:
+        assert quenched_average(POISSON1, 6, 16, 3, workers=2) == serial
+        assert type(ensemble._POOL[0].process).__name__ == "SpawnProcess"
+    finally:
+        ensemble._shutdown_pool()
 
 
 def _run_script(tmp_path, body):
@@ -349,6 +450,19 @@ def test_a_spill_in_a_forked_worker_names_the_realization_and_seed(tmp_path):
     message = f"realization 1 (seed {derive_seed(5, 1)}): site-dependent shift at iteration 1"
     assert done.returncode == 1
     assert f"ValueError: {message}" in done.stderr
+
+
+@linux_fork
+def test_a_killed_caller_leaves_no_worker_holding_its_output(tmp_path):
+    # Each worker must read the end of its pipe once the caller is gone,
+    # though later workers forked while the caller held earlier workers' pipes.
+    done = _run_script(
+        tmp_path,
+        "import os, signal\n"
+        "ensemble.quenched_average(POISSON1, 6, 16, 3, workers=3)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n",
+    )
+    assert done.returncode == -signal.SIGKILL
 
 
 class TestStaticQuenchedAverage:
@@ -611,6 +725,31 @@ def test_threads_sharing_the_checkpoint_get_cold_bits(static):
 
     def run(slot):
         results[slot] = [_point(static, POISSON1, T, 9, 1) for T in grid]
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {slot: cold for slot in range(4)}
+
+
+@pytest.mark.parametrize("static", [False, True], ids=["dynamic", "static"])
+def test_threads_sharing_the_pinned_workers_get_cold_bits(static):
+    # As above at workers=2: the threads share this process's checkpoint and
+    # the worker, and each must read its own replies from the worker's pipe.
+    grid = list(range(1, 9))
+    cold = [_cold_point(static, POISSON1, T, 9, 1) for T in grid]
+    results = {}
+
+    def run(slot):
+        results[slot] = [_point(static, POISSON1, T, 9, 1, workers=2) for T in grid]
 
     threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
     interval = sys.getswitchinterval()
